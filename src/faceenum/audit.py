@@ -20,12 +20,15 @@ from .homology import (
     RATIONALS,
     BettiVector,
     FieldSpec,
+    _link_census,
     betti,
     euler_characteristic,
+    is_semi_eulerian,
     manifold_report,
 )
 from .vectors import (
     G_invariant,
+    HVector,
     ds_defect_h,
     f_vector,
     h_prime,
@@ -122,19 +125,17 @@ class _Context:
     report: object  # ManifoldReport
     no_boundary: bool
     closed: bool
-    vertex_links_closed: bool | None = None
-    edge_links_closed: bool | None = None
 
-    def links_closed(self, dim_of_face: int) -> bool:
-        """Every link of a face of the given dimension is a homology manifold
-        without boundary."""
-        if self.no_boundary:
-            return True  # links in a boundaryless homology manifold are homology spheres
-        for rho in self.K.all_faces(dim_of_face):
-            rep = manifold_report(self.K.link(rho), self.field, require_connected=False)
-            if not rep.is_homology_manifold or rep.boundary is not None:
-                return False
-        return True
+
+def _links_closed(K: SimplicialComplex, field: FieldSpec, k: int) -> bool:
+    """Every link of a k-face is a connected homology manifold without
+    boundary.  Since lk_{lk rho}(sigma) = lk_K(rho u sigma), that holds when
+    every face with more than k+1 vertices has a sphere link and every k-face
+    has a connected link."""
+    for row in _link_census(K, field):
+        if (len(row.face) > k + 1 and row.cls != "sphere") or (len(row.face) == k + 1 and not row.connected):
+            return False
+    return True
 
 
 def binomial_pair_decomposition(v: int) -> tuple[int, int]:
@@ -160,6 +161,8 @@ def _check_rigidity(ctx: _Context) -> AuditCheck:
 
 def _check_universal_upper(ctx: _Context) -> AuditCheck:
     ref = "universal bound h2 - h1 <= C(h1, 2) for pure complexes"
+    if ctx.K.d < 2:
+        return AuditCheck("universal_upper", ref, INAPPLICABLE, notes="needs h2, which exists only when d >= 2")
     lhs = ctx.h[2] - ctx.h[1]
     rhs = comb(ctx.h[1], 2)
     return AuditCheck("universal_upper", ref, _cmp_status(lhs, rhs), lhs=lhs, rhs=rhs)
@@ -167,10 +170,10 @@ def _check_universal_upper(ctx: _Context) -> AuditCheck:
 
 def _check_covering(ctx: _Context) -> AuditCheck:
     ref = "covering-space edge bound from lifted rigidity"
-    g2 = ctx.h[2] - ctx.h[1]
     d = ctx.K.d
-    if not ctx.closed:
-        return AuditCheck("covering_bound", ref, INAPPLICABLE, notes="needs a closed homology manifold")
+    if not ctx.closed or d < 2:
+        return AuditCheck("covering_bound", ref, INAPPLICABLE, notes="needs a closed homology manifold and d >= 2")
+    g2 = ctx.h[2] - ctx.h[1]
     if ctx.assertions.beta1_positive:
         lhs, rhs = comb(d + 1, 2), g2
         return AuditCheck("covering_bound", ref, _cmp_status(lhs, rhs),
@@ -192,11 +195,9 @@ def _check_vertex_link_rigidity(ctx: _Context) -> AuditCheck:
     d = ctx.K.d
     if d < 4:
         return AuditCheck("vertex_link_bound", ref, INAPPLICABLE, notes="needs d >= 4")
-    if ctx.vertex_links_closed is None:
-        ctx.vertex_links_closed = ctx.links_closed(0)
-    if not ctx.vertex_links_closed:
+    if not _links_closed(ctx.K, ctx.field, 0):
         return AuditCheck("vertex_link_bound", ref, INAPPLICABLE,
-                          notes="needs every vertex link to be a homology manifold without boundary")
+                          notes="needs every vertex link to be a connected homology manifold without boundary")
     h = ctx.h
     lhs = (d - 1) * h[1]
     rhs = 3 * h[3] + (d - 4) * h[2]
@@ -220,11 +221,9 @@ def _check_edge_link_rigidity(ctx: _Context) -> AuditCheck:
     d = ctx.K.d
     if d < 5:
         return AuditCheck("edge_link_bound", ref, INAPPLICABLE, notes="needs d >= 5")
-    if ctx.edge_links_closed is None:
-        ctx.edge_links_closed = ctx.links_closed(1)
-    if not ctx.edge_links_closed:
+    if not _links_closed(ctx.K, ctx.field, 1):
         return AuditCheck("edge_link_bound", ref, INAPPLICABLE,
-                          notes="needs every edge link to be a homology manifold without boundary")
+                          notes="needs every edge link to be a connected homology manifold without boundary")
     h = ctx.h
     val = 12 * h[4] + 6 * (d - 4) * h[3] + (d - 2) * (d - 7) * h[2] - (d - 1) * (d - 2) * h[1]
     return AuditCheck("edge_link_bound", ref, _cmp_status(0, val), lhs=0, rhs=val)
@@ -235,11 +234,9 @@ def _check_d7_euler(ctx: _Context) -> AuditCheck:
     d = ctx.K.d
     if d != 7 or not ctx.no_boundary:
         return AuditCheck("d7_euler_bound", ref, INAPPLICABLE, notes="needs a 6-manifold without boundary")
-    if ctx.edge_links_closed is None:
-        ctx.edge_links_closed = ctx.links_closed(1)
-    if not ctx.edge_links_closed:
+    if not _links_closed(ctx.K, ctx.field, 1):
         return AuditCheck("d7_euler_bound", ref, INAPPLICABLE,
-                          notes="needs every edge link to be a homology manifold without boundary")
+                          notes="needs every edge link to be a connected homology manifold without boundary")
     h = ctx.h
     lhs = 14 * (ctx.chi - 2)
     rhs = h[3] - h[1]
@@ -259,32 +256,22 @@ def _check_even_euler(ctx: _Context) -> list:
     ref_b = "middle-Betti bound against the h2 - h1 binomial decomposition"
     d = ctx.K.d
     dim = d - 1
+
+    def inapplicable(note: str) -> list:
+        return [AuditCheck("even_euler_a", ref_a, INAPPLICABLE, notes=note),
+                AuditCheck("even_euler_b", ref_b, INAPPLICABLE, notes=note)]
+
     if dim % 2 != 0 or dim < 4 or not ctx.no_boundary:
-        note = "needs an even-dimensional (>= 4) homology manifold without boundary"
-        return [
-            AuditCheck("even_euler_a", ref_a, INAPPLICABLE, notes=note),
-            AuditCheck("even_euler_b", ref_b, INAPPLICABLE, notes=note),
-        ]
+        return inapplicable("needs an even-dimensional (>= 4) homology manifold without boundary")
     if not ctx.field.is_rationals:
-        note = "defined with rational coefficients"
-        return [
-            AuditCheck("even_euler_a", ref_a, INAPPLICABLE, notes=note),
-            AuditCheck("even_euler_b", ref_b, INAPPLICABLE, notes=note),
-        ]
+        return inapplicable("defined with rational coefficients")
     m = dim // 2
     try:
         G = G_invariant(ctx.b, m)
     except DimensionParity:
-        return [
-            AuditCheck("even_euler_a", ref_a, INAPPLICABLE, notes="Betti data has wrong length"),
-            AuditCheck("even_euler_b", ref_b, INAPPLICABLE, notes="Betti data has wrong length"),
-        ]
+        return inapplicable("Betti data has wrong length")
     if G <= 0:
-        note = f"needs G > 0; here G = {G}"
-        return [
-            AuditCheck("even_euler_a", ref_a, INAPPLICABLE, notes=note),
-            AuditCheck("even_euler_b", ref_b, INAPPLICABLE, notes=note),
-        ]
+        return inapplicable(f"needs G > 0; here G = {G}")
     duality_note = ""
     if not ctx.report.orientable:
         duality_note = "nonorientable input: the alternating Betti formula is evaluated literally"
@@ -310,24 +297,18 @@ def _check_surjectivity_bound(ctx: _Context) -> AuditCheck:
     if not ctx.report.is_homology_manifold or d < 3:
         return AuditCheck("h_prime_top", ref, INAPPLICABLE,
                           notes="needs a homology manifold (with or without boundary) and d >= 3")
-    hp = h_prime(_hv(ctx.h), ctx.b)
+    hp = h_prime(HVector(ctx.h), ctx.b)
     lhs = hp[d - 1] + (d - 1) * ctx.b.get(d - 3)
     rhs = hp[d - 2]
     return AuditCheck("h_prime_top", ref, _cmp_status(lhs, rhs), lhs=lhs, rhs=rhs)
 
 
-def _hv(entries):
-    from .vectors import HVector
-
-    return HVector(tuple(entries))
-
-
 def _check_closed_edge_bound(ctx: _Context) -> AuditCheck:
     ref = "closed-manifold edge bound h2 >= h1 + C(d+1,2) beta_1 - C(d-1,2) beta_2"
     d = ctx.K.d
-    if not ctx.closed or not ctx.field.is_rationals:
+    if not ctx.closed or not ctx.field.is_rationals or d < 2:
         return AuditCheck("closed_edge_bound", ref, INAPPLICABLE,
-                          notes="needs a closed homology manifold and rational Betti numbers")
+                          notes="needs a closed homology manifold, d >= 2 and rational Betti numbers")
     lhs = ctx.h[1] + comb(d + 1, 2) * ctx.b.get(1) - comb(d - 1, 2) * ctx.b.get(2)
     rhs = ctx.h[2]
     notes = ""
@@ -339,9 +320,9 @@ def _check_closed_edge_bound(ctx: _Context) -> AuditCheck:
 def _check_kalai_conjecture(ctx: _Context) -> AuditCheck:
     ref = "conjectured edge bound h2 - h1 >= C(d+1,2) beta_1 (Kalai)"
     d = ctx.K.d
-    if not ctx.no_boundary or not ctx.field.is_rationals:
+    if not ctx.no_boundary or not ctx.field.is_rationals or d < 2:
         return AuditCheck("kalai_edge_conjecture", ref, INAPPLICABLE, proven=False,
-                          notes="needs a homology manifold without boundary")
+                          notes="needs a homology manifold without boundary and d >= 2")
     lhs = comb(d + 1, 2) * ctx.b.get(1)
     rhs = ctx.h[2] - ctx.h[1]
     status = _cmp_status(lhs, rhs)
@@ -396,12 +377,10 @@ def _check_min_first_betti(ctx: _Context) -> AuditCheck:
 
 
 def _check_dehn_sommerville(ctx: _Context) -> AuditCheck:
-    from .homology import is_semi_eulerian
-
     ref = "generalized Dehn-Sommerville equations (Klee)"
     if not is_semi_eulerian(ctx.K):
         return AuditCheck("dehn_sommerville", ref, INAPPLICABLE, notes="complex is not semi-Eulerian")
-    defect = ds_defect_h(_hv(ctx.h), ctx.chi)
+    defect = ds_defect_h(HVector(ctx.h), ctx.chi)
     status = HOLDS if all(x == 0 for x in defect) else VIOLATED
     return AuditCheck("dehn_sommerville", ref, status, lhs=tuple(defect), rhs=None)
 

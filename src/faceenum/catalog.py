@@ -21,13 +21,14 @@ from .complexes import Coloring, SimplicialComplex, face_key
 from .constructions import (
     BistellarMove,
     MoveLog,
+    _subdivide_facets,
     apply_bistellar,
     feasibility,
     realize_g_pair,
     s1xs3_fill,
 )
-from .errors import NotASphereLink, TargetInfeasible, UnknownEntry, UnknownSpace
-from .homology import RATIONALS, FieldSpec, betti, euler_characteristic
+from .errors import NotASphereLink, PreconditionFailed, TargetInfeasible, UnknownEntry, UnknownSpace
+from .homology import RATIONALS, FieldSpec, betti, euler_characteristic, manifold_report
 from .posets import GradedPoset
 from .trees import validate_simple_tree
 from .vectors import h_vector
@@ -258,8 +259,11 @@ def realize_space(
 
     The sphere bundle uses the grouped edge fill; the projective plane and
     the double connected sum use the realization machine on their catalog
-    seeds.  K3 realization needs a user-supplied seed triangulation with
-    g-vector (1, 10, 55) since the 16-vertex facet list is external input.
+    seeds, except that g_2 = 18..20 of the double connected sum lie below its
+    2-neighborly seed and start from Lutz's complex instead (the move log
+    then replays from ``catalog("s2xs2_sum")``).  K3 realization needs a
+    user-supplied seed triangulation with g-vector (1, 10, 55) since the
+    16-vertex facet list is external input.
     """
     a, b = g1 + 1, g1 + 1 + g2  # h-vector targets
     if space == "s1xs3":
@@ -278,6 +282,16 @@ def realize_space(
         return realize_g_pair(seed, tree, a, b, field=field, log=log, verify_seed=verify_seed)
     if space == "s2xs2_sum2":
         feasibility_gate(space, g1, g2)
+        if g2 < 21:  # below the 2-neighborly seed's g_2: Lutz's complex (g_2 = 18),
+            # one catalog one-move per missing edge, then subdivisions for g_1
+            K = SimplicialComplex(S2XS2_FACETS)
+            if verify_seed and not manifold_report(K, field).closed:
+                raise PreconditionFailed("seed must be a closed homology manifold")
+            for move in catalog("s2xs2_moves").payload[: g2 - 18]:
+                K = apply_bistellar(K, move)
+                if log is not None:
+                    log.record("bistellar", {"f": list(move.F), "g": list(move.G)}, K)
+            return _subdivide_facets(K, g1 - 6, log)
         seed = s2xs2_two_neighborly()
         link_tree = catalog("s2xs2_tree").payload
         tree = validate_simple_tree(

@@ -43,11 +43,11 @@ from .vectors import ds_defect, f_vector, fine_ds_defect, fine_f, fine_h, g_from
 
 
 def _field(args):
-    return GF2 if getattr(args, "field", "q") == "gf2" else RATIONALS
+    return GF2 if args.field == "gf2" else RATIONALS
 
 
 def _emit(payload: dict, args):
-    if getattr(args, "format", "json") == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=1, default=str))
     else:
         _print_table(payload)
@@ -68,6 +68,7 @@ def _print_table(payload: dict, prefix: str = ""):
 
 def _analyze_payload(K: SimplicialComplex, args) -> dict:
     field = _field(args)
+    rep = manifold_report(K, field)  # first: the Eulerian predicates reuse its cached link census
     hv = h_vector(K)
     payload = {
         "vertices": len(K.vertices),
@@ -82,16 +83,15 @@ def _analyze_payload(K: SimplicialComplex, args) -> dict:
         "semi_eulerian": is_semi_eulerian(K),
         "eulerian": is_eulerian(K),
         "ds_defect": list(ds_defect(K)),
+        "manifold": {
+            "is_homology_manifold": rep.is_homology_manifold,
+            "boundary_facets": [list(f) for f in rep.boundary.facets] if rep.boundary else [],
+            "orientable": rep.orientable,
+            "closed": rep.closed,
+            "witness": list(rep.witness) if rep.witness else None,
+        },
     }
-    rep = manifold_report(K, field)
-    payload["manifold"] = {
-        "is_homology_manifold": rep.is_homology_manifold,
-        "boundary_facets": [list(f) for f in rep.boundary.facets] if rep.boundary else [],
-        "orientable": rep.orientable,
-        "closed": rep.closed,
-        "witness": list(rep.witness) if rep.witness else None,
-    }
-    if getattr(args, "coloring", None):
+    if args.coloring:
         spec = json.loads(Path(args.coloring).read_text())
         phi = {fio._label(k): v for k, v in spec["phi"].items()}
         coloring = Coloring(tuple(spec["type_vector"]), phi)
@@ -155,14 +155,7 @@ def cmd_generate(args) -> int:
     elif args.kind == "fill":
         K, log = s1xs3_fill(args.n, args.edges, log=log)
     elif args.kind == "refit":
-        seed = fio.load_complex(args.input)
-        trace = [] if args.trace else None
-        result = two_neighborly_refit(seed, log=log, seed=args.seed, trace=trace)
-        K = result.complex
-        if trace is not None:
-            for label, info, cpx in trace:
-                fv = cpx.f_vector
-                print(f"trace {label} {info}: f0={fv[1]} f1={fv[2]}")
+        K = two_neighborly_refit(fio.load_complex(args.input), log=log, seed=args.seed).complex
     else:
         raise FaceEnumError(f"unknown generator {args.kind!r}")
     if out:
@@ -241,11 +234,10 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--field", choices=["q", "gf2"], default="q")
+def _add_common(p, field: bool = False):
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    p.add_argument("--trace", action="store_true", help="keep intermediate complexes (debugging)")
+    if field:
+        p.add_argument("--field", choices=["q", "gf2"], default="q")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,14 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="f/h/g, Euler, Betti, manifold and Eulerian verdicts")
     p.add_argument("path")
     p.add_argument("--coloring", help="JSON file with type_vector and phi for fine vectors")
-    _add_common(p)
+    _add_common(p, field=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("audit", help="inequality battery; exit 1 on proven violation")
     p.add_argument("path")
     p.add_argument("--assert-beta1-positive", action="store_true")
     p.add_argument("--assert-subgroup-index", type=int, default=None)
-    _add_common(p)
+    _add_common(p, field=True)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("generate", help="construct complexes and move logs")
@@ -284,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--edges", type=int, required=True)
     g = gsub.add_parser("refit")
     g.add_argument("--input", required=True)
+    g.add_argument("--seed", type=int, default=None, help="shuffle the spanning-tree search deterministically")
     for g in gsub.choices.values():
         g.add_argument("--out")
         _add_common(g)
@@ -315,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    # kind is set by the generate subsubparsers; argparse stores the chosen one
-    if args.command == "generate" and not hasattr(args, "kind"):
-        ap.error("generate needs a kind")
     try:
         return args.func(args)
     except FaceEnumError as e:

@@ -185,6 +185,11 @@ class SimplicialComplex:
         return tuple(counts)
 
     @cached_property
+    def _link_censuses(self) -> dict:
+        """Link census per field, filled by ``homology._link_census``."""
+        return {}
+
+    @cached_property
     def edges(self) -> frozenset:
         return frozenset(self.all_faces(1)) if self.dim >= 1 else frozenset()
 

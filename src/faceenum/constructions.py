@@ -446,16 +446,23 @@ def realize_g_pair(
     cur = central_retriangulation(cur, part, w, verify_ball=False)
     if log is not None:
         log.record("central_retriangulation", {"ball": [list(f) for f in part.facets], "vertex": w}, cur)
-    for _ in range(k - chosen_f - 1):
-        target = cur.facets[0]
-        w = fresh_vertices(cur, 1)[0]
-        cur = apply_bistellar(cur, BistellarMove(target, (w,)), check_h=False)
-        if log is not None:
-            log.record("bistellar", {"f": list(target), "g": [w]}, cur)
+    cur = _subdivide_facets(cur, k - chosen_f - 1, log)
     got = h_vector(cur)
     if (got[1], got[2]) != (a, b):
         raise TargetInfeasible(f"internal: reached (h1, h2) = {(got[1], got[2])}, wanted {(a, b)}")
     return cur
+
+
+def _subdivide_facets(K: SimplicialComplex, count: int, log: MoveLog | None) -> SimplicialComplex:
+    """Subdivide the first facet ``count`` times; each subdivision raises h_1
+    and h_2 by one and leaves g_2 unchanged."""
+    for _ in range(count):
+        target = K.facets[0]
+        w = fresh_vertices(K, 1)[0]
+        K = apply_bistellar(K, BistellarMove(target, (w,)), check_h=False)
+        if log is not None:
+            log.record("bistellar", {"f": list(target), "g": [w]}, K)
+    return K
 
 
 def _full_step(K: SimplicialComplex, tree: SimpleTree, field: FieldSpec, log: MoveLog | None):

@@ -6,12 +6,21 @@ Reduced Betti numbers are computed from ranks of augmented boundary matrices.
 Everything is exact: ranks over Q use integer-preserving sparse elimination
 (cross-multiplication with gcd normalization, no floating point), GF(2) uses
 bitmask rows, GF(p) uses sparse rows mod p.
+
+The predicates share one link census per complex and field: a single walk
+over the nonempty faces that computes the Betti numbers of each face's link
+once and records the link's class (sphere, ball or bad), its Euler
+characteristic and whether it is connected.  The census is cached on the
+immutable complex.  Links of links need no second walk, since
+lk_{lk rho}(sigma) = lk_K(rho u sigma): a link is a homology manifold without
+boundary exactly when every face strictly containing rho has a sphere link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, face_key
 from .errors import ArgumentOutOfRange
@@ -187,13 +196,15 @@ def matrix_rank(rows: list[dict], field: FieldSpec) -> int:
 
 def _boundary_rows(faces_k: list, index_km1: dict) -> list[dict]:
     """Columns = k-faces: emit row dicts keyed by (k-1)-face index, one row per
-    k-face (rank is transpose-invariant)."""
+    k-face (rank is transpose-invariant).  Ridges missing from the index are
+    skipped, which gives relative boundary matrices."""
     rows = []
     for f in faces_k:
         row = {}
         for j in range(len(f)):
-            sub = f[:j] + f[j + 1:]
-            row[index_km1[sub]] = -1 if j % 2 else 1
+            i = index_km1.get(f[:j] + f[j + 1:])
+            if i is not None:
+                row[i] = -1 if j % 2 else 1
         rows.append(row)
     return rows
 
@@ -267,7 +278,34 @@ def sphere_euler(dim: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# recognition predicates
+# the link census and the recognition predicates
+
+
+class _LinkRow(NamedTuple):
+    face: tuple
+    cls: str  # "sphere", "ball" or "bad": the link's reduced homology
+    chi: int  # unreduced Euler characteristic of the link
+    connected: bool  # reduced beta_0 of the link vanishes
+
+
+def _link_census(K: SimplicialComplex, field: FieldSpec) -> tuple:
+    """One row per nonempty face of K, in ``K.faces()`` order.
+
+    The class is "sphere" when the link has the reduced homology of
+    S^{dim K - |rho|}, "ball" when it has that of a point, and "bad" otherwise.
+    """
+    cache = K._link_censuses
+    rows = cache.get(field)
+    if rows is None:
+        out = []
+        for rho in K.faces():
+            if not rho:
+                continue
+            b = betti(K.link(rho), field)
+            cls = "sphere" if b.is_sphere(K.dim - len(rho)) else "ball" if b.is_point() else "bad"
+            out.append(_LinkRow(rho, cls, 1 + b.alternating_sum(), b.get(0) == 0))
+        rows = cache[field] = tuple(out)
+    return rows
 
 
 def is_homology_sphere(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
@@ -276,13 +314,7 @@ def is_homology_sphere(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bo
     K.require_pure("homology sphere test")
     if not betti(K, field).is_sphere(K.dim):
         return False
-    for rho in K.faces():
-        if not rho:
-            continue
-        L = K.link(rho)
-        if not betti(L, field).is_sphere(K.dim - len(rho)):
-            return False
-    return True
+    return all(row.cls == "sphere" for row in _link_census(K, field))
 
 
 def is_homology_ball(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
@@ -305,36 +337,21 @@ class ManifoldReport:
     field: FieldSpec
 
 
-def _link_class(K: SimplicialComplex, rho, field: FieldSpec) -> str:
-    """'sphere', 'ball', or 'bad' for the link of a nonempty face."""
-    L = K.link(rho)
-    expect = K.dim - len(rho)
-    b = betti(L, field)
-    if b.is_sphere(expect):
-        return "sphere"
-    if b.is_point():
-        return "ball"
-    return "bad"
-
-
 def manifold_report(K: SimplicialComplex, field: FieldSpec = RATIONALS, require_connected: bool = True) -> ManifoldReport:
     """Check every nonempty face's link for sphere-or-ball homology.
 
-    The boundary consists of the faces whose link has ball homology, i.e.
-    vanishing top homology; ``closed`` means empty boundary and orientable.
+    The witness is the first face with a bad link.  The boundary consists of
+    the faces whose link has ball homology, i.e. vanishing top homology;
+    ``closed`` means empty boundary and orientable.
     """
     K.require_pure("manifold recognition")
     if require_connected:
         K.require_connected("manifold recognition")
-    boundary_faces = []
-    for rho in K.faces():
-        if not rho:
-            continue
-        cls = _link_class(K, rho, field)
-        if cls == "bad":
-            return ManifoldReport(False, None, False, False, rho, field)
-        if cls == "ball":
-            boundary_faces.append(rho)
+    census = _link_census(K, field)
+    witness = next((row.face for row in census if row.cls == "bad"), None)
+    if witness is not None:
+        return ManifoldReport(False, None, False, False, witness, field)
+    boundary_faces = [row.face for row in census if row.cls == "ball"]
     boundary = SimplicialComplex(boundary_faces) if boundary_faces else None
     orientable = _orientable(K, boundary, field)
     closed = boundary is None and orientable
@@ -346,34 +363,22 @@ def _orientable(K: SimplicialComplex, boundary: SimplicialComplex | None, field:
     d = K.dim
     if d < 0:
         return True
-    bfaces = set()
-    if boundary is not None:
-        bfaces = {f for f in boundary.faces() if f}
     top = sorted(K.all_faces(d), key=face_key)
-    mid = sorted((f for f in K.all_faces(d - 1) if f not in bfaces), key=face_key) if d >= 1 else []
-    index = {f: i for i, f in enumerate(mid)}
-    rows = []
-    for f in top:
-        row = {}
-        for j in range(len(f)):
-            sub = f[:j] + f[j + 1:]
-            if sub in index:
-                row[index[sub]] = -1 if j % 2 else 1
-        rows.append(row)
-    r = matrix_rank(rows, field)
-    return len(top) - r == 1
+    bfaces = set(boundary.faces()) if boundary is not None else set()
+    mid = sorted(K.all_faces(d - 1) - bfaces, key=face_key) if d >= 1 else []
+    rows = _boundary_rows(top, {f: i for i, f in enumerate(mid)})
+    return len(top) - matrix_rank(rows, field) == 1
 
 
 def is_semi_eulerian(K: SimplicialComplex) -> bool:
-    """chi(link rho) = chi(S^{d-|rho|-1}) for every nonempty face rho."""
+    """chi(link rho) = chi(S^{d-|rho|-1}) for every nonempty face rho.
+
+    The Euler characteristic does not depend on the field, so any census
+    already cached on K serves; otherwise the one over Q is built.
+    """
     K.require_pure("semi-Eulerian test")
-    d = K.dim
-    for rho in K.faces():
-        if not rho:
-            continue
-        if euler_characteristic(K.link(rho)) != sphere_euler(d - len(rho)):
-            return False
-    return True
+    census = next(iter(K._link_censuses.values()), None) or _link_census(K, RATIONALS)
+    return all(row.chi == sphere_euler(K.dim - len(row.face)) for row in census)
 
 
 def is_eulerian(K: SimplicialComplex) -> bool:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .complexes import Coloring, SimplicialComplex
+from .complexes import Coloring, SimplicialComplex, face_key
 from .errors import (
     InvalidPoset,
     NotComparable,
@@ -191,7 +191,7 @@ def face_poset(K: SimplicialComplex, augment: bool = True) -> GradedPoset:
     With ``augment`` a fresh top is adjoined when the complex has more than
     one facet; a complex with a unique facet is already bounded above.
     """
-    faces = sorted(K.faces(), key=lambda f: (len(f), f))
+    faces = sorted(K.faces(), key=lambda f: (len(f), face_key(f)))
     covers = []
     for f in faces:
         for j in range(len(f)):

@@ -233,7 +233,6 @@ def two_neighborly_refit(
     log: MoveLog | None = None,
     verify_input: bool = True,
     seed: int | None = None,
-    trace: list | None = None,
 ) -> RefitResult:
     """Produce a 2-neighborly triangulation of the same homology type with a
     spanning simple tree through a codimension-three face.
@@ -259,8 +258,6 @@ def two_neighborly_refit(
             ambient = validate_simple_tree(K, [face(rho + f) for f in link_tree.facets])
             return RefitResult(K, ambient, rho)
     K, W, tree_facets = _concentrated_tree(K, field, log)
-    if trace is not None:
-        trace.append(("concentrated_tree", W, K))
     ambient = validate_simple_tree(K, [face(W + f) for f in tree_facets])
     if not ambient.is_spanning():
         raise HypothesisNotMet("concentrated tree is not spanning")
@@ -275,8 +272,6 @@ def two_neighborly_refit(
         if x not in circle or y not in circle:
             raise HypothesisNotMet("nonedge endpoints missing from the spanning circle")
         K, rho2, circle = _insert_edge(K, rho2, circle, x, y, field, log)
-        if trace is not None:
-            trace.append(("edge_inserted", (x, y), K))
         now = K.nonedges()
         if len(now) != len(remaining) - 1:
             raise HypothesisNotMet("edge-insertion cycle failed to remove exactly one nonedge")

@@ -273,13 +273,6 @@ def affine_span_dim(a) -> int:
     return (n - 2) // 2
 
 
-def n_of_type(a) -> int:
-    n = 1
-    for x in a:
-        n *= int(x) + 1
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Schenzel's h' and the short simplicial h-vector
 

@@ -115,3 +115,23 @@ def test_violation_plumbing_and_exit_semantics():
     assert [c.name for c in rep.violations()] == ["a"]
     assert rep.checks[1].ok() is True  # advisory violation never fails the run
     assert rep.checks[0].ok() is False
+
+
+def test_wedge_of_spheres_vertex_link_bound_inapplicable():
+    # two stacked 3-spheres glued at vertex 8: that vertex's link is two
+    # disjoint 2-spheres, so the vertex-link bound (lhs 33 > rhs 27 here)
+    # does not apply and must not be reported as a proven violation
+    A = fe.stacked_sphere(8, 4)
+    B = A.relabel({v: v + 7 for v in A.vertices})
+    K = fe.SimplicialComplex(A.facets + B.facets)
+    for field in (fe.RATIONALS, fe.GF2):
+        rep = fe.audit(K, field, name="wedge")
+        assert rep.by_name("vertex_link_bound").status == INAPPLICABLE
+        assert not rep.violations()
+
+
+def test_audit_of_a_point_reports_h2_checks_inapplicable():
+    rep = fe.audit(fe.SimplicialComplex([[1]]), name="point")
+    for name in ("universal_upper", "covering_bound", "closed_edge_bound", "kalai_edge_conjecture"):
+        assert rep.by_name(name).status == INAPPLICABLE
+    assert not rep.violations()

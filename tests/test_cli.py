@@ -6,7 +6,7 @@ import pytest
 
 import faceenum as fe
 from faceenum import io as fio
-from faceenum.cli import main
+from faceenum.cli import build_parser, main
 from faceenum.errors import ParseError
 
 
@@ -164,3 +164,17 @@ def test_io_roundtrip(tmp_path):
     t = tmp_path / "k.txt"
     t.write_text("\n".join(" ".join(map(str, f)) for f in K.facets))
     assert fio.load_complex(t) == K
+
+
+def test_field_and_seed_flags_only_where_read(tmp_path, capsys):
+    p = write_complex(tmp_path, fe.stacked_sphere(7, 4))
+    with pytest.raises(SystemExit):
+        main(["generate", "stacked", "--n", "7", "--d", "4", "--field", "gf2"])
+    with pytest.raises(SystemExit):
+        main(["generate", "stacked", "--n", "7", "--d", "4", "--seed", "1"])
+    with pytest.raises(SystemExit):
+        main(["generate", "refit", "--input", p, "--trace"])
+    capsys.readouterr()
+    args = build_parser().parse_args(["generate", "refit", "--input", p])
+    assert args.seed is None
+    assert main(["audit", p, "--field", "gf2"]) == 0

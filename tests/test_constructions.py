@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import faceenum as fe
+from faceenum import io as fio
 from faceenum.complexes import face
 from faceenum.errors import (
     ArgumentOutOfRange,
@@ -290,6 +291,21 @@ def test_realize_space_s1xs3():
     hv = fe.h_vector(K)
     assert (hv[1] - 1, hv[2] - hv[1]) == (7, 20)
     assert fe.betti(K).positive_range() == (0, 1, 0, 1, 1)
+
+
+def test_realize_space_s2xs2_sum2_below_the_neighborly_seed():
+    # g2 = 18..20 lies below the 2-neighborly seed's g2 = 21; the route goes
+    # through Lutz's complex, and its move log replays from there
+    base = fe.catalog("s2xs2_sum").payload
+    for g1 in (6, 7, 8):
+        for g2 in (18, 19, 20):
+            log = fe.MoveLog()
+            K = fe.realize_space("s2xs2_sum2", g1, g2, log=log)
+            hv = fe.h_vector(K)
+            assert (hv[1] - 1, hv[2] - hv[1]) == (g1, g2)
+            assert fe.manifold_report(K).closed
+            assert len(log.steps) == (g2 - 18) + (g1 - 6)
+            assert fio.replay_move_log(base, log.steps) == K
 
 
 def test_realize_space_k3_needs_seed():

@@ -295,3 +295,10 @@ def test_cd_words_fibonacci():
     assert [len(cd_words(n)) for n in range(6)] == [1, 1, 2, 3, 5, 8]
     assert expand_cd_word("d") == {"ab": 1, "ba": 1}
     assert expand_cd_word("c") == {"a": 1, "b": 1}
+
+
+def test_face_poset_mixed_labels():
+    K = fe.from_facets([[1, 2, "a"], [2, "a", "b"]])
+    P = fe.face_poset(K)
+    assert len(P.elements) == sum(K.f_vector) + 1  # faces plus the adjoined top
+    assert fe.classify_poset(P) == "Neither"
