@@ -10,16 +10,11 @@ from .complexes import (
     Coloring,
     SimplicialComplex,
     all_faces,
-    closed_star,
     connected_sum,
     face,
     from_facets,
     handle_addition,
-    is_i_neighborly,
-    join,
-    link,
     simplex,
-    vertex_induced_subcomplex,
 )
 from .constructions import (
     BistellarMove,

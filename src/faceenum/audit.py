@@ -294,9 +294,9 @@ def _check_surjectivity_bound(ctx: _Context) -> AuditCheck:
     d = ctx.K.d
     if not ctx.field.is_rationals:
         return AuditCheck("h_prime_top", ref, INAPPLICABLE, notes="stated for rational Betti numbers")
-    if not ctx.report.is_homology_manifold or d < 3:
+    if not ctx.report.is_homology_manifold or d < 4:
         return AuditCheck("h_prime_top", ref, INAPPLICABLE,
-                          notes="needs a homology manifold (with or without boundary) and d >= 3")
+                          notes="needs a homology manifold (with or without boundary) and d >= 4")
     hp = h_prime(HVector(ctx.h), ctx.b)
     lhs = hp[d - 1] + (d - 1) * ctx.b.get(d - 3)
     rhs = hp[d - 2]
@@ -306,9 +306,9 @@ def _check_surjectivity_bound(ctx: _Context) -> AuditCheck:
 def _check_closed_edge_bound(ctx: _Context) -> AuditCheck:
     ref = "closed-manifold edge bound h2 >= h1 + C(d+1,2) beta_1 - C(d-1,2) beta_2"
     d = ctx.K.d
-    if not ctx.closed or not ctx.field.is_rationals or d < 2:
+    if not ctx.closed or not ctx.field.is_rationals or d < 4:
         return AuditCheck("closed_edge_bound", ref, INAPPLICABLE,
-                          notes="needs a closed homology manifold, d >= 2 and rational Betti numbers")
+                          notes="needs a closed homology manifold, d >= 4 and rational Betti numbers")
     lhs = ctx.h[1] + comb(d + 1, 2) * ctx.b.get(1) - comb(d - 1, 2) * ctx.b.get(2)
     rhs = ctx.h[2]
     notes = ""
@@ -320,9 +320,9 @@ def _check_closed_edge_bound(ctx: _Context) -> AuditCheck:
 def _check_kalai_conjecture(ctx: _Context) -> AuditCheck:
     ref = "conjectured edge bound h2 - h1 >= C(d+1,2) beta_1 (Kalai)"
     d = ctx.K.d
-    if not ctx.no_boundary or not ctx.field.is_rationals or d < 2:
+    if not ctx.no_boundary or not ctx.field.is_rationals or d < 4:
         return AuditCheck("kalai_edge_conjecture", ref, INAPPLICABLE, proven=False,
-                          notes="needs a homology manifold without boundary and d >= 2")
+                          notes="stated for homology manifolds without boundary and d >= 4")
     lhs = comb(d + 1, 2) * ctx.b.get(1)
     rhs = ctx.h[2] - ctx.h[1]
     status = _cmp_status(lhs, rhs)

@@ -17,20 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Coloring, SimplicialComplex, face_key
+from .complexes import Coloring, SimplicialComplex
 from .constructions import (
     BistellarMove,
     MoveLog,
+    _bistellar_step,
     _subdivide_facets,
     apply_bistellar,
     feasibility,
     realize_g_pair,
     s1xs3_fill,
 )
-from .errors import NotASphereLink, PreconditionFailed, TargetInfeasible, UnknownEntry, UnknownSpace
+from .errors import PreconditionFailed, TargetInfeasible, UnknownEntry, UnknownSpace
 from .homology import RATIONALS, FieldSpec, betti, euler_characteristic, manifold_report
 from .posets import GradedPoset
-from .trees import validate_simple_tree
+from .trees import _codim3_tree, _lift_tree, validate_simple_tree
 from .vectors import h_vector
 
 CP2_FACETS = [
@@ -238,10 +239,8 @@ def s2xs2_two_neighborly() -> SimplicialComplex:
     """The 12-vertex connected sum of two copies of S^2 x S^2 after the three
     recorded one-moves; 2-neighborly."""
     K = SimplicialComplex(S2XS2_FACETS)
-    for fa, fb in S2XS2_MOVE_FACETS:
-        shared = tuple(sorted(set(fa) & set(fb)))
-        opp = tuple(sorted(set(fa) ^ set(fb)))
-        K = apply_bistellar(K, BistellarMove(shared, opp))
+    for move in catalog("s2xs2_moves").payload:
+        K = apply_bistellar(K, move)
     return K
 
 
@@ -275,10 +274,7 @@ def realize_space(
     if space == "cp2":
         feasibility_gate(space, g1, g2)
         seed = catalog("cp2_9").payload
-        edge_link_tree = catalog("cp2_tree").payload
-        tree = validate_simple_tree(
-            seed, [tuple(sorted((1, 2) + f)) for f in edge_link_tree.facets]
-        )
+        tree = _lift_tree(seed, (1, 2), catalog("cp2_tree").payload.facets)
         return realize_g_pair(seed, tree, a, b, field=field, log=log, verify_seed=verify_seed)
     if space == "s2xs2_sum2":
         feasibility_gate(space, g1, g2)
@@ -288,15 +284,10 @@ def realize_space(
             if verify_seed and not manifold_report(K, field).closed:
                 raise PreconditionFailed("seed must be a closed homology manifold")
             for move in catalog("s2xs2_moves").payload[: g2 - 18]:
-                K = apply_bistellar(K, move)
-                if log is not None:
-                    log.record("bistellar", {"f": list(move.F), "g": list(move.G)}, K)
+                K = _bistellar_step(K, move, log)
             return _subdivide_facets(K, g1 - 6, log)
         seed = s2xs2_two_neighborly()
-        link_tree = catalog("s2xs2_tree").payload
-        tree = validate_simple_tree(
-            seed, [tuple(sorted((1, 2) + f)) for f in link_tree.facets]
-        )
+        tree = _lift_tree(seed, (1, 2), catalog("s2xs2_tree").payload.facets)
         return realize_g_pair(seed, tree, a, b, field=field, log=log, verify_seed=verify_seed)
     if space == "k3":
         feasibility_gate(space, g1, g2)
@@ -307,25 +298,11 @@ def realize_space(
         hv = h_vector(k3_seed)
         if (hv[1], hv[2] - hv[1]) != (11, 55):
             raise UnknownSpace("supplied K3 seed does not have g-vector (1, 10, 55)")
-        rho = _codim3_face_with_tree(k3_seed)
-        link_tree = rho[1]
-        tree = validate_simple_tree(
-            k3_seed, [tuple(sorted(rho[0] + f)) for f in link_tree.facets]
-        )
-        return realize_g_pair(k3_seed, tree, a, b, field=field, log=log, verify_seed=verify_seed)
+        found = _codim3_tree(k3_seed, node_budget=50_000)
+        if found is None:
+            raise UnknownSpace("no spanning simple 2-tree found in any codimension-three link")
+        return realize_g_pair(k3_seed, found[1], a, b, field=field, log=log, verify_seed=verify_seed)
     raise UnknownSpace(f"cannot realize {space!r}")
-
-
-def _codim3_face_with_tree(K: SimplicialComplex):
-    from .errors import TreeNotFound
-    from .trees import find_spanning_tree_in_link
-
-    for rho in sorted(K.all_faces(K.d - 4), key=face_key):
-        try:
-            return rho, find_spanning_tree_in_link(K, rho, node_budget=50_000)
-        except (TreeNotFound, NotASphereLink):
-            continue
-    raise UnknownSpace("no spanning simple 2-tree found in any codimension-three link")
 
 
 def feasibility_gate(space: str, g1: int, g2: int):

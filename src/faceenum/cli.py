@@ -68,7 +68,7 @@ def _print_table(payload: dict, prefix: str = ""):
 
 def _analyze_payload(K: SimplicialComplex, args) -> dict:
     field = _field(args)
-    rep = manifold_report(K, field)  # first: the Eulerian predicates reuse its cached link census
+    rep = manifold_report(K, field)
     hv = h_vector(K)
     payload = {
         "vertices": len(K.vertices),

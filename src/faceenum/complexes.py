@@ -18,6 +18,7 @@ from functools import cached_property
 
 from .errors import (
     AdmissibilityViolation,
+    ArgumentOutOfRange,
     BijectionArityMismatch,
     DimensionOutOfRange,
     DuplicateVertexInFacet,
@@ -35,12 +36,13 @@ Face = tuple  # sorted tuple of labels
 
 
 def label_key(v: Label):
-    """Total order on mixed int/str labels: ints first, then strings."""
-    if isinstance(v, bool):  # bool is an int subclass; refuse silently odd input
-        raise TypeError("boolean vertex labels are not supported")
-    if isinstance(v, int):
+    """Total order on mixed int/str labels: ints first, then strings.  Any
+    other label, bool included, raises ArgumentOutOfRange."""
+    if isinstance(v, int) and not isinstance(v, bool):
         return (0, v, "")
-    return (1, 0, str(v))
+    if isinstance(v, str):
+        return (1, 0, v)
+    raise ArgumentOutOfRange(f"vertex label {v!r} is neither an int nor a string")
 
 
 def face(vertices) -> Face:
@@ -280,26 +282,6 @@ def from_facets(facet_list) -> SimplicialComplex:
 
 def all_faces(K: SimplicialComplex, i: int) -> set:
     return K.all_faces(i)
-
-
-def link(K: SimplicialComplex, rho) -> SimplicialComplex:
-    return K.link(rho)
-
-
-def closed_star(K: SimplicialComplex, rho) -> SimplicialComplex:
-    return K.closed_star(rho)
-
-
-def join(K: SimplicialComplex, Kp: SimplicialComplex) -> SimplicialComplex:
-    return K.join(Kp)
-
-
-def vertex_induced_subcomplex(K: SimplicialComplex, W) -> SimplicialComplex:
-    return K.induced(W)
-
-
-def is_i_neighborly(K: SimplicialComplex, i: int) -> bool:
-    return K.is_i_neighborly(i)
 
 
 def connected_sum(K: SimplicialComplex, sigma, Kp: SimplicialComplex, sigma_p, bijection: dict) -> SimplicialComplex:

@@ -37,11 +37,31 @@ class MoveLog:
     steps: list = field(default_factory=list)
 
     def record(self, op: str, parameters: dict, K: SimplicialComplex):
-        fv = K.f_vector
-        self.steps.append({"op": op, "parameters": parameters, "resulting": [fv[1], fv[2] if len(fv) > 2 else 0]})
+        # (f0, f1) from the cached vertex and edge sets, not a face count
+        self.steps.append({"op": op, "parameters": parameters, "resulting": [len(K.vertices), len(K.edges)]})
 
     def to_jsonable(self) -> list:
         return self.steps
+
+
+def _bistellar_step(K: SimplicialComplex, move: BistellarMove, log: MoveLog | None,
+                    check_h: bool = True) -> SimplicialComplex:
+    """Apply a bistellar move and log it; every logged move goes through here."""
+    K = apply_bistellar(K, move, check_h=check_h)
+    if log is not None:
+        log.record("bistellar", {"f": list(move.F), "g": list(move.G)}, K)
+    return K
+
+
+def _retriangulation_step(K: SimplicialComplex, tree: SimpleTree, log: MoveLog | None, vertex=None):
+    """Centrally retriangulate a certified simple tree from a fresh vertex (or
+    the given one, on replay) and log it; returns (K', vertex)."""
+    if vertex is None:
+        vertex = fresh_vertices(K, 1)[0]
+    K = central_retriangulation(K, tree, vertex)
+    if log is not None:
+        log.record("central_retriangulation", {"ball": [list(f) for f in tree.facets], "vertex": vertex}, K)
+    return K, vertex
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +98,15 @@ def check_move(K: SimplicialComplex, move: BistellarMove):
     K.require_pure("bistellar move")
     if len(F) + len(G) != K.d + 1:
         raise IllegalMove(f"|F|+|G| = {len(F) + len(G)}, expected d+1 = {K.d + 1}")
-    for g in G:
-        fac = face(F + tuple(x for x in G if x != g))
-        if fac not in set(K.facets):
+    allowed = [face(F + tuple(x for x in G if x != g)) for g in G]
+    facet_set = set(K.facets)
+    for fac in allowed:
+        if fac not in facet_set:
             raise IllegalMove(f"missing facet {fac!r}: induced subcomplex is smaller than F * dG")
     if len(G) >= 2 and K.has_face(G):
         raise IllegalMove(f"{G!r} is already a face: induced subcomplex exceeds F * dG")
-    if len(G) == 1 and G[0] in set(K.vertices):
+    if len(G) == 1 and G[0] in K.vertices:
         raise IllegalMove(f"subdivision vertex {G[0]!r} already present")
-    allowed = {face(F + tuple(x for x in G if x != g)) for g in G}
     for fac in K.facets_containing(F):
         if fac not in allowed:
             raise IllegalMove(f"extra facet {fac!r} contains F: link of F exceeds dG")
@@ -242,18 +262,16 @@ def s1xs3_fill(
                 break
             G = (x, _mod_label(x + delta, n))
             F = tuple(_mod_label(x + k, n) for k in (1, 2, delta - 2, delta - 1))
-            move = BistellarMove(F, G)
             try:
-                K = apply_bistellar(K, move)
+                K = _bistellar_step(K, BistellarMove(F, G), log)
             except IllegalMove as e:
                 raise ScheduleBlocked(
                     f"grouped fill blocked at delta={delta}, x={x}: {e}",
                     state={"edges": edges, "delta": delta, "x": x},
                 ) from e
             edges += 1
-            if len(K.all_faces(1)) != edges:
+            if len(K.edges) != edges:
                 raise ScheduleBlocked("move did not add exactly one edge")
-            log.record("bistellar", {"f": list(move.F), "g": list(move.G)}, K)
             if check_betti and betti(K, field).reduced_betti != baseline.reduced_betti:
                 raise ScheduleBlocked("intermediate complex changed its Betti vector")
     if edges != target_edges:
@@ -439,13 +457,9 @@ def realize_g_pair(
     cur = K
     cur_tree = tree
     for step in range(chosen_f):
-        cur, cur_tree = _full_step(cur, cur_tree, field, log)
+        cur, cur_tree = _full_step(cur, cur_tree, log)
     # partial step: retriangulate the first j facets of the current tree
-    part = cur_tree.prefix(j)
-    w = fresh_vertices(cur, 1)[0]
-    cur = central_retriangulation(cur, part, w, verify_ball=False)
-    if log is not None:
-        log.record("central_retriangulation", {"ball": [list(f) for f in part.facets], "vertex": w}, cur)
+    cur, _ = _retriangulation_step(cur, cur_tree.prefix(j), log)
     cur = _subdivide_facets(cur, k - chosen_f - 1, log)
     got = h_vector(cur)
     if (got[1], got[2]) != (a, b):
@@ -457,24 +471,18 @@ def _subdivide_facets(K: SimplicialComplex, count: int, log: MoveLog | None) -> 
     """Subdivide the first facet ``count`` times; each subdivision raises h_1
     and h_2 by one and leaves g_2 unchanged."""
     for _ in range(count):
-        target = K.facets[0]
         w = fresh_vertices(K, 1)[0]
-        K = apply_bistellar(K, BistellarMove(target, (w,)), check_h=False)
-        if log is not None:
-            log.record("bistellar", {"f": list(target), "g": [w]}, K)
+        K = _bistellar_step(K, BistellarMove(K.facets[0], (w,)), log, check_h=False)
     return K
 
 
-def _full_step(K: SimplicialComplex, tree: SimpleTree, field: FieldSpec, log: MoveLog | None):
+def _full_step(K: SimplicialComplex, tree: SimpleTree, log: MoveLog | None):
     """Central retriangulation of a full spanning tree, then construction of
     the successor spanning tree through a codimension-two face."""
     common = set(tree.facets[0])
     for f in tree.facets[1:]:
         common &= set(f)
-    w = fresh_vertices(K, 1)[0]
-    K2 = central_retriangulation(K, tree, w, verify_ball=False)
-    if log is not None:
-        log.record("central_retriangulation", {"ball": [list(f) for f in tree.facets], "vertex": w}, K2)
+    K2, w = _retriangulation_step(K, tree, log)
     # new codimension-two face: w joined with the shared face, topped up from
     # the previous shared face if it was larger than d-3
     shared = sorted(common, key=repr)[: K.d - 3]

@@ -7,17 +7,18 @@ Everything is exact: ranks over Q use integer-preserving sparse elimination
 (cross-multiplication with gcd normalization, no floating point), GF(2) uses
 bitmask rows, GF(p) uses sparse rows mod p.
 
-The predicates share one link census per complex and field: a single walk
-over the nonempty faces that computes the Betti numbers of each face's link
-once and records the link's class (sphere, ball or bad), its Euler
-characteristic and whether it is connected.  The census is cached on the
-immutable complex.  Links of links need no second walk, since
+The sphere and manifold predicates share one link census per complex and
+field: a single walk over the nonempty faces that computes the Betti numbers
+of each face's link once and records the link's class (sphere, ball or bad),
+its Euler characteristic and whether it is connected.  The census is cached
+on the immutable complex; the Eulerian predicates need only face counts.  Links of links need no second walk, since
 lk_{lk rho}(sigma) = lk_K(rho u sigma): a link is a homology manifold without
 boundary exactly when every face strictly containing rho has a sphere link.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
@@ -373,12 +374,18 @@ def _orientable(K: SimplicialComplex, boundary: SimplicialComplex | None, field:
 def is_semi_eulerian(K: SimplicialComplex) -> bool:
     """chi(link rho) = chi(S^{d-|rho|-1}) for every nonempty face rho.
 
-    The Euler characteristic does not depend on the field, so any census
-    already cached on K serves; otherwise the one over Q is built.
+    Each chi(link rho) is counted from the faces of K, without ranks: the sum
+    over faces sigma strictly containing rho of (-1)^{|sigma|-|rho|-1}.
     """
     K.require_pure("semi-Eulerian test")
-    census = next(iter(K._link_censuses.values()), None) or _link_census(K, RATIONALS)
-    return all(row.chi == sphere_euler(K.dim - len(row.face)) for row in census)
+    faces = list(K.faces())
+    chi: dict = {}
+    for sigma in faces:
+        for k in range(1, len(sigma)):
+            sign = 1 if (len(sigma) - k) % 2 else -1
+            for rho in itertools.combinations(sigma, k):
+                chi[rho] = chi.get(rho, 0) + sign
+    return all(chi.get(rho, 0) == sphere_euler(K.dim - len(rho)) for rho in faces if rho)
 
 
 def is_eulerian(K: SimplicialComplex) -> bool:

@@ -1,14 +1,19 @@
 """File formats.
 
 Complexes: JSON {"vertices": [...], "facets": [[...], ...]} or plain text
-with one facet per line, labels whitespace-separated.  Labels may be ints or
-strings in either format; bare numerals in text files are read as ints.
+with one facet per line, labels whitespace-separated.  Labels are ints or
+strings in either format (any other JSON value is rejected); bare numerals in
+text files are read as ints.  A declared vertex list must contain every
+vertex of the facets.
 
 Posets: JSON {"elements": [...], "covers": [["x","y"], ...]}; the special
 names "bottom"/"top" are optional and are adjoined automatically when absent,
 provided the poset has a unique minimum and maximum.
 
 Move logs: JSON list of {"op": ..., "parameters": ..., "resulting": [f0, f1]}.
+Replay re-runs each step through the code that recorded it, certifying every
+logged ball as a simple tree in its recorded order, and raises ParseError
+naming the first malformed step.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .complexes import SimplicialComplex
-from .constructions import BistellarMove, MoveLog, apply_bistellar
-from .errors import ParseError
+from .complexes import SimplicialComplex, label_key
+from .constructions import BistellarMove, MoveLog, _bistellar_step, _retriangulation_step
+from .errors import ArgumentOutOfRange, ParseError
 from .posets import BOTTOM_SENTINEL, TOP_SENTINEL, GradedPoset
-from .trees import central_retriangulation
+from .trees import validate_simple_tree
 
 
 def _label(tok: str):
@@ -28,6 +33,14 @@ def _label(tok: str):
         return int(tok)
     except ValueError:
         return tok
+
+
+def _is_label(v) -> bool:
+    try:
+        label_key(v)
+    except ArgumentOutOfRange:
+        return False
+    return True
 
 
 def parse_complex_text(text: str) -> SimplicialComplex:
@@ -51,10 +64,17 @@ def parse_complex_json(payload) -> SimplicialComplex:
     facets = payload["facets"]
     if not isinstance(facets, list) or not facets:
         raise ParseError('"facets" must be a nonempty list')
+    for i, f in enumerate(facets):
+        if not isinstance(f, list):
+            raise ParseError(f"facet {i} is not a list")
     K = SimplicialComplex(facets)
     declared = payload.get("vertices")
-    if declared is not None and set(map(repr, declared)) < set(map(repr, K.vertices)):
-        raise ParseError("facets mention vertices outside the declared vertex list")
+    if declared is not None:
+        if not isinstance(declared, list) or not all(_is_label(v) for v in declared):
+            raise ParseError('"vertices" must be a list of int or string labels')
+        undeclared = set(K.vertices) - set(declared)
+        if undeclared:
+            raise ParseError(f"facets mention undeclared vertices {sorted(undeclared, key=label_key)}")
     return K
 
 
@@ -134,23 +154,39 @@ def load_move_log(path) -> list:
     return steps
 
 
+def _labels(value, i: int, what: str) -> tuple:
+    if not isinstance(value, list) or not all(_is_label(v) for v in value):
+        raise ParseError(f"step {i}: {what} must be a list of int or string labels")
+    return tuple(value)
+
+
 def replay_move_log(K: SimplicialComplex, steps: list) -> SimplicialComplex:
-    """Re-apply a recorded construction; the per-step (f0, f1) counts are
-    verified so replays are byte-identical to the original run."""
+    """Re-run a recorded construction through the step functions that
+    recorded it; each step's (f0, f1) must equal the recorded one, so replays
+    are byte-identical to the original run.  Logged balls are certified as
+    simple trees in their recorded order."""
     for i, step in enumerate(steps):
-        op = step.get("op")
-        params = step.get("parameters", {})
+        if not isinstance(step, dict) or not isinstance(step.get("parameters"), dict):
+            raise ParseError(f'step {i} is not an object with a "parameters" object')
+        op, params, want = step.get("op"), step["parameters"], step.get("resulting")
+        if want is not None and not (isinstance(want, list) and len(want) == 2):
+            raise ParseError(f"step {i}: resulting must be [f0, f1]")
+        log = MoveLog()
         if op == "bistellar":
-            K = apply_bistellar(K, BistellarMove(tuple(params["f"]), tuple(params["g"])), check_h=False)
+            move = BistellarMove(_labels(params.get("f"), i, "f"), _labels(params.get("g"), i, "g"))
+            K = _bistellar_step(K, move, log, check_h=False)
         elif op == "central_retriangulation":
-            ball = SimplicialComplex([tuple(f) for f in params["ball"]])
-            K = central_retriangulation(K, ball, params["vertex"], verify_ball=False)
+            ball = params.get("ball")
+            if not isinstance(ball, list):
+                raise ParseError(f"step {i}: ball must be a list of facets")
+            vertex = params.get("vertex")
+            if not _is_label(vertex):
+                raise ParseError(f"step {i}: vertex must be an int or string label")
+            tree = validate_simple_tree(K, [_labels(f, i, "each ball facet") for f in ball])
+            K, _ = _retriangulation_step(K, tree, log, vertex)
         else:
             raise ParseError(f"unknown op {op!r} at step {i}")
-        want = step.get("resulting")
-        if want is not None:
-            fv = K.f_vector
-            got = [fv[1], fv[2] if len(fv) > 2 else 0]
-            if got != list(want):
-                raise ParseError(f"replay diverged at step {i}: (f0, f1) = {got}, recorded {want}")
+        got = log.steps[-1]["resulting"]
+        if want is not None and got != want:
+            raise ParseError(f"replay diverged at step {i}: (f0, f1) = {got}, recorded {want}")
     return K

@@ -20,17 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, face, face_key, fresh_vertices, label_key
+from .complexes import SimplicialComplex, face, face_key, label_key
 from .constructions import (
     BistellarMove,
     MoveLog,
+    _bistellar_step,
+    _retriangulation_step,
     _spanning_circle,
     _tree_from_circle,
-    apply_bistellar,
 )
-from .errors import HypothesisNotMet, NotASphereLink, TreeNotFound
+from .errors import HypothesisNotMet
 from .homology import RATIONALS, FieldSpec, manifold_report
-from .trees import SimpleTree, central_retriangulation, find_spanning_tree_in_link, validate_simple_tree
+from .trees import SimpleTree, _codim3_tree, _lift_tree
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,12 @@ def _grow_tree_map(L: SimplicialComplex):
     return abstract, phi
 
 
-def _tree_in_link(K: SimplicialComplex, W: tuple, field: FieldSpec, log: MoveLog | None):
+def _tree_in_link(K: SimplicialComplex, W: tuple, log: MoveLog | None):
     """Spanning simple tree of the link of W, possibly after central
-    retriangulations of K; returns (K', ordered link facets)."""
+    retriangulations of K; returns (K', ordered link facets).
+
+    An embedded star of the abstract tree, taken in tree order, is itself a
+    simple tree, so each retriangulated star is certified as one."""
     L = K.link(W) if W else K
     abstract, phi = _grow_tree_map(L)
     tverts_in_order = sorted(phi)
@@ -124,13 +128,8 @@ def _tree_in_link(K: SimplicialComplex, W: tuple, field: FieldSpec, log: MoveLog
             images = [phi[t] for t in starverts]
             if len(set(images)) != len(images):
                 continue  # star not embedded; try an earlier vertex
-            ball_facets = [face(tuple(W) + tuple(phi[t] for t in af)) for af in star]
-            w = fresh_vertices(K, 1)[0]
-            K = central_retriangulation(K, SimplicialComplex(ball_facets), w, field=field)
-            if log is not None:
-                log.record("central_retriangulation",
-                           {"ball": [list(f) for f in ball_facets], "vertex": w}, K)
-            phi[y] = w
+            ball = _lift_tree(K, W, [[phi[t] for t in af] for af in star])
+            K, phi[y] = _retriangulation_step(K, ball, log)
             fixed = True
             break
         if not fixed:
@@ -143,23 +142,19 @@ def _tree_in_link(K: SimplicialComplex, W: tuple, field: FieldSpec, log: MoveLog
 # stage two: concentrate the tree on a codimension-three face
 
 
-def _concentrated_tree(K: SimplicialComplex, field: FieldSpec, log: MoveLog | None):
+def _concentrated_tree(K: SimplicialComplex, log: MoveLog | None):
     """Returns (K', W, link_facets): W is a (d-3)-face of K' and the link
     facets form a spanning simple 2-tree of the link of W."""
     d = K.d
-    K, tree_facets = _tree_in_link(K, (), field, log)
+    K, tree_facets = _tree_in_link(K, (), log)
     W: tuple = ()
     for _ in range(d - 3):
-        ambient = validate_simple_tree(K, [face(W + f) for f in tree_facets])
+        ambient = _lift_tree(K, W, tree_facets)
         if not ambient.is_spanning():
             raise HypothesisNotMet("stage tree is not spanning")
-        w = fresh_vertices(K, 1)[0]
-        K = central_retriangulation(K, ambient, w, verify_ball=False)
-        if log is not None:
-            log.record("central_retriangulation",
-                       {"ball": [list(f) for f in ambient.facets], "vertex": w}, K)
+        K, w = _retriangulation_step(K, ambient, log)
         W = face(W + (w,))
-        K, tree_facets = _tree_in_link(K, W, field, log)
+        K, tree_facets = _tree_in_link(K, W, log)
     return K, W, tree_facets
 
 
@@ -178,17 +173,7 @@ def _arc(circle: list, a, b) -> list:
     return out
 
 
-def _crt_tree(K, facets, log, field):
-    tree = validate_simple_tree(K, facets)
-    w = fresh_vertices(K, 1)[0]
-    K2 = central_retriangulation(K, tree, w, verify_ball=False)
-    if log is not None:
-        log.record("central_retriangulation",
-                   {"ball": [list(f) for f in tree.facets], "vertex": w}, K2)
-    return K2, w
-
-
-def _insert_edge(K, rho2, circle, x, y, field, log):
+def _insert_edge(K, rho2, circle, x, y, log):
     """One full cycle: make x and y adjacent, return (K', rho2', circle')."""
     arc_xy = _arc(circle, x, y)
     arc_yx = _arc(circle, y, x)
@@ -204,25 +189,22 @@ def _insert_edge(K, rho2, circle, x, y, field, log):
         rho_p0 = tuple(v for v in rho2 if v not in (w1r, w0r))
         v_list, u_list = arc_xy, arc_yx
         path_all = [x] + v_list + [y] + u_list
-        K, w2 = _crt_tree(K, [face(tuple(rho2) + p) for p in _pairs(path_all)], log, field)
+        K, w2 = _retriangulation_step(K, _lift_tree(K, rho2, _pairs(path_all)), log)
         fan1 = [face(rho_p0 + (w1r,) + p) for p in _pairs([x] + v_list + [y])]
         fan2 = [face(rho_p0 + (w0r,) + p) for p in _pairs([v_list[-1], y] + u_list)]
-        K, w3 = _crt_tree(K, [face(f + (w2,)) for f in fan1 + fan2], log, field)
+        K, w3 = _retriangulation_step(K, _lift_tree(K, (w2,), fan1 + fan2), log)
         rho_star = face(rho_p0 + (w2, w3))
         sep = w1r
         z_arc = v_list + [w0r] + list(reversed(u_list))
-    move = BistellarMove(face(tuple(rho_star) + (sep,)), (x, y))
-    K = apply_bistellar(K, move)
-    if log is not None:
-        log.record("bistellar", {"f": list(move.F), "g": list(move.G)}, K)
+    K = _bistellar_step(K, BistellarMove(face(tuple(rho_star) + (sep,)), (x, y)), log)
     members = sorted(rho_star, key=label_key)
     wa, wb = members[0], members[1]
     rho_p0b = tuple(v for v in rho_star if v not in (wa, wb))
     P4 = [x, y] + list(reversed(z_arc))
     t4_base = [face(rho_p0b + (wa,) + p) for p in _pairs(P4)] + [face(rho_p0b + (x, sep, y))]
-    K, wc = _crt_tree(K, [face(f + (wb,)) for f in t4_base], log, field)
+    K, wc = _retriangulation_step(K, _lift_tree(K, (wb,), t4_base), log)
     s4 = t4_base + [face(rho_p0b + (y, sep, wb))]
-    K, wd = _crt_tree(K, [face(f + (wc,)) for f in s4], log, field)
+    K, wd = _retriangulation_step(K, _lift_tree(K, (wc,), s4), log)
     rho2_new = face(rho_p0b + (wc, wd))
     return K, rho2_new, _spanning_circle(K, rho2_new)
 
@@ -250,20 +232,17 @@ def two_neighborly_refit(
         if not rep.closed:
             raise HypothesisNotMet("refit needs a connected closed homology manifold")
     if K.is_i_neighborly(2):
-        for rho in sorted(K.all_faces(K.d - 4), key=face_key):
-            try:
-                link_tree = find_spanning_tree_in_link(K, rho, node_budget=20_000, seed=seed)
-            except (TreeNotFound, NotASphereLink):
-                continue
-            ambient = validate_simple_tree(K, [face(rho + f) for f in link_tree.facets])
+        found = _codim3_tree(K, node_budget=20_000, seed=seed)
+        if found is not None:
+            rho, ambient = found
             return RefitResult(K, ambient, rho)
-    K, W, tree_facets = _concentrated_tree(K, field, log)
-    ambient = validate_simple_tree(K, [face(W + f) for f in tree_facets])
+    K, W, tree_facets = _concentrated_tree(K, log)
+    ambient = _lift_tree(K, W, tree_facets)
     if not ambient.is_spanning():
         raise HypothesisNotMet("concentrated tree is not spanning")
     if K.is_i_neighborly(2):
         return RefitResult(K, ambient, W)
-    K, w = _crt_tree(K, list(ambient.facets), log, field)
+    K, w = _retriangulation_step(K, ambient, log)
     rho2 = face(tuple(W) + (w,))
     circle = _spanning_circle(K, rho2)
     remaining = K.nonedges()
@@ -271,7 +250,7 @@ def two_neighborly_refit(
         x, y = remaining[0]
         if x not in circle or y not in circle:
             raise HypothesisNotMet("nonedge endpoints missing from the spanning circle")
-        K, rho2, circle = _insert_edge(K, rho2, circle, x, y, field, log)
+        K, rho2, circle = _insert_edge(K, rho2, circle, x, y, log)
         now = K.nonedges()
         if len(now) != len(remaining) - 1:
             raise HypothesisNotMet("edge-insertion cycle failed to remove exactly one nonedge")

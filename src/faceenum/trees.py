@@ -143,14 +143,13 @@ def central_retriangulation(
     B,
     new_vertex=None,
     field: FieldSpec = RATIONALS,
-    verify_ball: bool = True,
 ) -> SimplicialComplex:
     """Replace the interior of a full-dimensional ball subcomplex B by the
     cone over its boundary from a fresh vertex.
 
-    ``B`` may be a certified SimpleTree (trusted to be a ball), a complex, or
-    a facet list.  Other inputs are verified to be homology balls unless
-    ``verify_ball`` is disabled by a caller that has its own certificate.
+    ``B`` may be a certified SimpleTree (a simple tree is a ball, so it is
+    trusted), a complex, or a facet list; the latter two are verified to be
+    homology balls over ``field``.
     """
     if isinstance(B, SimpleTree):
         ball = B.as_complex()
@@ -165,7 +164,7 @@ def central_retriangulation(
     for f in ball.facets:
         if f not in facet_set:
             raise NotABall(f"{f!r} is not a facet of the ambient complex")
-    if not certified and verify_ball:
+    if not certified:
         b = betti(ball, field)
         if not b.is_point():
             raise NotABall("subcomplex does not have the homology of a point")
@@ -177,7 +176,8 @@ def central_retriangulation(
     if new_vertex in set(K.vertices):
         raise VertexCollision(f"vertex {new_vertex!r} already present")
     bdry = tree_boundary(ball)
-    new_facets = [f for f in K.facets if f not in set(ball.facets)]
+    ball_facets = set(ball.facets)
+    new_facets = [f for f in K.facets if f not in ball_facets]
     for g in bdry.facets:
         new_facets.append(face(g + (new_vertex,)))
     return SimplicialComplex(new_facets)
@@ -247,3 +247,21 @@ def find_spanning_tree_in_link(
         if budget[0] <= 0:
             break
     raise TreeNotFound("no spanning simple 2-tree found within the node budget")
+
+
+def _lift_tree(K: SimplicialComplex, rho, link_facets) -> SimpleTree:
+    """The simple tree rho * T in K for a simple tree T in the link of rho."""
+    return validate_simple_tree(K, [face(tuple(rho) + tuple(f)) for f in link_facets])
+
+
+def _codim3_tree(K: SimplicialComplex, node_budget: int, seed: int | None = None):
+    """(rho, rho * T) for the first codimension-three face rho, in face order,
+    whose link yields a spanning simple 2-tree T within ``node_budget``
+    search nodes; None when no link does."""
+    for rho in sorted(K.all_faces(K.d - 4), key=face_key):
+        try:
+            link_tree = find_spanning_tree_in_link(K, rho, node_budget=node_budget, seed=seed)
+        except (TreeNotFound, NotASphereLink):
+            continue
+        return rho, _lift_tree(K, rho, link_tree.facets)
+    return None

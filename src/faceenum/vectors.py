@@ -211,19 +211,6 @@ def fine_ds_defect(hv: FineVector, chi: int) -> dict:
     return out
 
 
-def flag_from_fine(fv: FineVector) -> FlagVector:
-    """Reinterpret a completely balanced fine vector as a flag vector."""
-    a = fv.type_vector
-    if any(x != 1 for x in a):
-        raise TypeVectorMismatch("flag vectors require type (1,...,1)")
-    d = len(a)
-    return FlagVector(
-        d,
-        {frozenset(i + 1 for i, x in enumerate(b) if x): v for b, v in fv.entries.items()},
-        fv.kind,
-    )
-
-
 def flag_h_from_flag_f(ff: FlagVector) -> FlagVector:
     """h_S = sum_{T subseteq S} (-1)^{|S - T|} f_T."""
     if ff.kind != "f":

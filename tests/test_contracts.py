@@ -1,0 +1,100 @@
+"""Input contracts and theorem guards: labels are ints or strings, malformed
+complex files raise FaceEnumError (CLI exit 2), and the audit reports no
+proven violation on closed surfaces or the circle."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+import faceenum as fe
+from faceenum import io as fio
+from faceenum.audit import INAPPLICABLE
+from faceenum.cli import main
+from faceenum.complexes import label_key
+from faceenum.errors import ArgumentOutOfRange, FaceEnumError, ParseError
+from test_census import _handle
+
+
+def torus7():
+    """Mobius' 7-vertex torus."""
+    return fe.SimplicialComplex(
+        [[i % 7 + 1, (i + 1) % 7 + 1, (i + 3) % 7 + 1] for i in range(7)]
+        + [[i % 7 + 1, (i + 2) % 7 + 1, (i + 3) % 7 + 1] for i in range(7)]
+    )
+
+
+CIRCLE = fe.SimplicialComplex([[1, 2], [2, 3], [1, 3]])
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, None, [1], (1,)])
+def test_label_key_accepts_only_int_and_str(bad):
+    with pytest.raises(ArgumentOutOfRange):
+        label_key(bad)
+    with pytest.raises(ArgumentOutOfRange):
+        fe.SimplicialComplex([[bad, 2], [2, 3]])
+
+
+def test_mixed_int_and_str_labels_still_order():
+    assert sorted(["b", 3, "a", 1], key=label_key) == [1, 3, "a", "b"]
+    assert fe.face(["b", 3, "a", 1]) == (1, 3, "a", "b")
+
+
+@pytest.mark.parametrize("payload", [
+    {"facets": [[True, 2], [2, 3]]},
+    {"facets": [[1.5, 2], [2, 3]]},
+    {"facets": [[None, 2], [2, 3]]},
+    {"facets": [[[1], 2], [2, 3]]},
+])
+def test_bad_labels_in_json_exit_2(payload, tmp_path):
+    with pytest.raises(FaceEnumError):
+        fio.parse_complex_json(payload)
+    p = tmp_path / "k.json"
+    p.write_text(json.dumps(payload))
+    assert main(["analyze", str(p)]) == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"vertices": [1, 2, 3, 99], "facets": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]},
+    {"vertices": [1, 2], "facets": [[1, 2, 3]]},
+    {"vertices": ["1", "2", "3"], "facets": [[1, 2, 3]]},
+    {"vertices": [1, 2, [3]], "facets": [[1, 2, 3]]},
+    {"facets": [[1, 2], 3]},
+    {"facets": [[1, 2], "23"]},
+])
+def test_malformed_complex_json_raises_parse_error(payload, tmp_path):
+    with pytest.raises(ParseError):
+        fio.parse_complex_json(payload)
+    p = tmp_path / "k.json"
+    p.write_text(json.dumps(payload))
+    assert main(["analyze", str(p)]) == 2
+
+
+def test_declared_vertices_may_exceed_the_facets():
+    K = fio.parse_complex_json({"vertices": [1, 2, 3, 99], "facets": [[1, 2, 3]]})
+    assert K.vertices == (1, 2, 3)
+
+
+@pytest.mark.parametrize("name,K", [("torus", torus7()), ("torus-handle", _handle(12, 3)), ("circle", CIRCLE)])
+def test_audit_of_surfaces_and_circle_has_no_proven_violation(name, K):
+    rep = fe.audit(K, name=name)
+    assert not rep.violations()
+    for check in ("closed_edge_bound", "h_prime_top", "kalai_edge_conjecture"):
+        assert rep.by_name(check).status == INAPPLICABLE
+        assert "d >= 4" in rep.by_name(check).notes
+
+
+@pytest.mark.parametrize("n,d", [(14, 4), (16, 5)])
+def test_audit_guards_keep_handle_additions_in_range(n, d):
+    rep = fe.audit(_handle(n, d))
+    assert not rep.violations()
+    for check in ("closed_edge_bound", "h_prime_top"):
+        assert rep.by_name(check).status in ("holds", "tight")
+
+
+def test_cli_audit_exits_0_on_the_torus(tmp_path, capsys):
+    p = tmp_path / "torus.json"
+    fio.save_complex(torus7(), p)
+    assert main(["audit", str(p)]) == 0
+    capsys.readouterr()
