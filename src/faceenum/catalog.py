@@ -29,7 +29,7 @@ from .constructions import (
     s1xs3_fill,
 )
 from .errors import PreconditionFailed, TargetInfeasible, UnknownEntry, UnknownSpace
-from .homology import RATIONALS, FieldSpec, betti, euler_characteristic, manifold_report
+from .homology import betti, euler_characteristic, manifold_report
 from .posets import GradedPoset
 from .trees import _codim3_tree, _lift_tree, validate_simple_tree
 from .vectors import h_vector
@@ -248,7 +248,6 @@ def realize_space(
     space: str,
     g1: int,
     g2: int,
-    field: FieldSpec = RATIONALS,
     log: MoveLog | None = None,
     k3_seed: SimplicialComplex | None = None,
     verify_seed: bool = False,
@@ -269,26 +268,26 @@ def realize_space(
         feasibility_gate(space, g1, g2)
         n = g1 + 6
         target_edges = b + 4 * n - 10
-        K, _ = s1xs3_fill(n, target_edges, field=field, log=log)
+        K, _ = s1xs3_fill(n, target_edges, log=log)
         return K
     if space == "cp2":
         feasibility_gate(space, g1, g2)
         seed = catalog("cp2_9").payload
         tree = _lift_tree(seed, (1, 2), catalog("cp2_tree").payload.facets)
-        return realize_g_pair(seed, tree, a, b, field=field, log=log, verify_seed=verify_seed)
+        return realize_g_pair(seed, tree, a, b, log=log, verify_seed=verify_seed)
     if space == "s2xs2_sum2":
         feasibility_gate(space, g1, g2)
         if g2 < 21:  # below the 2-neighborly seed's g_2: Lutz's complex (g_2 = 18),
             # one catalog one-move per missing edge, then subdivisions for g_1
             K = SimplicialComplex(S2XS2_FACETS)
-            if verify_seed and not manifold_report(K, field).closed:
+            if verify_seed and not manifold_report(K).closed:
                 raise PreconditionFailed("seed must be a closed homology manifold")
             for move in catalog("s2xs2_moves").payload[: g2 - 18]:
                 K = _bistellar_step(K, move, log)
             return _subdivide_facets(K, g1 - 6, log)
         seed = s2xs2_two_neighborly()
         tree = _lift_tree(seed, (1, 2), catalog("s2xs2_tree").payload.facets)
-        return realize_g_pair(seed, tree, a, b, field=field, log=log, verify_seed=verify_seed)
+        return realize_g_pair(seed, tree, a, b, log=log, verify_seed=verify_seed)
     if space == "k3":
         feasibility_gate(space, g1, g2)
         if k3_seed is None:
@@ -301,7 +300,7 @@ def realize_space(
         found = _codim3_tree(k3_seed, node_budget=50_000)
         if found is None:
             raise UnknownSpace("no spanning simple 2-tree found in any codimension-three link")
-        return realize_g_pair(k3_seed, found[1], a, b, field=field, log=log, verify_seed=verify_seed)
+        return realize_g_pair(k3_seed, found[1], a, b, log=log, verify_seed=verify_seed)
     raise UnknownSpace(f"cannot realize {space!r}")
 
 

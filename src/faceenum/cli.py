@@ -68,7 +68,6 @@ def _print_table(payload: dict, prefix: str = ""):
 
 def _analyze_payload(K: SimplicialComplex, args) -> dict:
     field = _field(args)
-    rep = manifold_report(K, field)
     hv = h_vector(K)
     payload = {
         "vertices": len(K.vertices),
@@ -83,14 +82,17 @@ def _analyze_payload(K: SimplicialComplex, args) -> dict:
         "semi_eulerian": is_semi_eulerian(K),
         "eulerian": is_eulerian(K),
         "ds_defect": list(ds_defect(K)),
-        "manifold": {
+        "manifold": None,  # manifold recognition needs a connected complex
+    }
+    if K.is_connected():
+        rep = manifold_report(K, field)
+        payload["manifold"] = {
             "is_homology_manifold": rep.is_homology_manifold,
             "boundary_facets": [list(f) for f in rep.boundary.facets] if rep.boundary else [],
             "orientable": rep.orientable,
             "closed": rep.closed,
             "witness": list(rep.witness) if rep.witness else None,
-        },
-    }
+        }
     if args.coloring:
         spec = json.loads(Path(args.coloring).read_text())
         phi = {fio._label(k): v for k, v in spec["phi"].items()}

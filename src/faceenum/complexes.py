@@ -400,15 +400,10 @@ def simplex(d: int) -> SimplicialComplex:
     return SimplicialComplex([tuple(range(1, d + 1))])
 
 
-def fresh_vertices(K: SimplicialComplex, count: int = 1) -> list:
-    """Deterministic new labels 'w1', 'w2', ... avoiding existing ones."""
+def fresh_vertex(K: SimplicialComplex) -> str:
+    """The first of the labels 'w1', 'w2', ... that K does not use."""
     used = set(K.vertices)
-    out = []
     i = 1
-    while len(out) < count:
-        cand = f"w{i}"
-        if cand not in used:
-            out.append(cand)
-            used.add(cand)
+    while f"w{i}" in used:
         i += 1
-    return out
+    return f"w{i}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .complexes import SimplicialComplex, face, face_key, fresh_vertices
+from .complexes import SimplicialComplex, face, face_key, fresh_vertex
 from .errors import (
     ArgumentOutOfRange,
     HypothesisNotMet,
@@ -57,7 +57,7 @@ def _retriangulation_step(K: SimplicialComplex, tree: SimpleTree, log: MoveLog |
     """Centrally retriangulate a certified simple tree from a fresh vertex (or
     the given one, on replay) and log it; returns (K', vertex)."""
     if vertex is None:
-        vertex = fresh_vertices(K, 1)[0]
+        vertex = fresh_vertex(K)
     K = central_retriangulation(K, tree, vertex)
     if log is not None:
         log.record("central_retriangulation", {"ball": [list(f) for f in tree.facets], "vertex": vertex}, K)
@@ -232,7 +232,6 @@ def _mod_label(x: int, n: int) -> int:
 def s1xs3_fill(
     n: int,
     target_edges: int,
-    field: FieldSpec = RATIONALS,
     check_betti: bool = False,
     log: MoveLog | None = None,
 ) -> tuple[SimplicialComplex, MoveLog]:
@@ -252,7 +251,7 @@ def s1xs3_fill(
     K = kuhnel_lassmann(n, 2)
     log = log if log is not None else MoveLog()
     edges = 5 * n
-    baseline = betti(K, field) if check_betti else None
+    baseline = betti(K) if check_betti else None
     for delta in range(6, n // 2 + 1):
         if edges == target_edges:
             break
@@ -272,7 +271,7 @@ def s1xs3_fill(
             edges += 1
             if len(K.edges) != edges:
                 raise ScheduleBlocked("move did not add exactly one edge")
-            if check_betti and betti(K, field).reduced_betti != baseline.reduced_betti:
+            if check_betti and betti(K).reduced_betti != baseline.reduced_betti:
                 raise ScheduleBlocked("intermediate complex changed its Betti vector")
     if edges != target_edges:
         raise ScheduleBlocked("schedule exhausted before reaching the target")
@@ -400,7 +399,6 @@ def realize_g_pair(
     tree: SimpleTree,
     a: int,
     b: int,
-    field: FieldSpec = RATIONALS,
     log: MoveLog | None = None,
     verify_seed: bool = True,
 ) -> SimplicialComplex:
@@ -428,7 +426,7 @@ def realize_g_pair(
     if len(common) < K.d - 3:
         raise PreconditionFailed("tree facets must share a codimension-three face")
     if verify_seed:
-        rep = manifold_report(K, field)
+        rep = manifold_report(K)
         if not rep.closed:
             raise PreconditionFailed("seed must be a closed homology manifold")
     if a < h1:
@@ -471,8 +469,7 @@ def _subdivide_facets(K: SimplicialComplex, count: int, log: MoveLog | None) -> 
     """Subdivide the first facet ``count`` times; each subdivision raises h_1
     and h_2 by one and leaves g_2 unchanged."""
     for _ in range(count):
-        w = fresh_vertices(K, 1)[0]
-        K = _bistellar_step(K, BistellarMove(K.facets[0], (w,)), log, check_h=False)
+        K = _bistellar_step(K, BistellarMove(K.facets[0], (fresh_vertex(K),)), log, check_h=False)
     return K
 
 

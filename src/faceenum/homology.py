@@ -9,11 +9,13 @@ bitmask rows, GF(p) uses sparse rows mod p.
 
 The sphere and manifold predicates share one link census per complex and
 field: a single walk over the nonempty faces that computes the Betti numbers
-of each face's link once and records the link's class (sphere, ball or bad),
-its Euler characteristic and whether it is connected.  The census is cached
-on the immutable complex; the Eulerian predicates need only face counts.  Links of links need no second walk, since
-lk_{lk rho}(sigma) = lk_K(rho u sigma): a link is a homology manifold without
-boundary exactly when every face strictly containing rho has a sphere link.
+of each face's link once and records the link's class (sphere, ball or bad)
+and whether it is connected.  The census is cached on the immutable complex;
+the Eulerian predicates need only face counts.  Links of links need no second
+walk, since lk_{lk rho}(sigma) = lk_K(rho u sigma): a link is a homology
+manifold without boundary exactly when every face strictly containing rho has
+a sphere link.  The construction layer (trees, constructions, refit, catalog)
+runs its homology checks over Q; only the recognition predicates take a field.
 """
 
 from __future__ import annotations
@@ -285,7 +287,6 @@ def sphere_euler(dim: int) -> int:
 class _LinkRow(NamedTuple):
     face: tuple
     cls: str  # "sphere", "ball" or "bad": the link's reduced homology
-    chi: int  # unreduced Euler characteristic of the link
     connected: bool  # reduced beta_0 of the link vanishes
 
 
@@ -304,7 +305,7 @@ def _link_census(K: SimplicialComplex, field: FieldSpec) -> tuple:
                 continue
             b = betti(K.link(rho), field)
             cls = "sphere" if b.is_sphere(K.dim - len(rho)) else "ball" if b.is_point() else "bad"
-            out.append(_LinkRow(rho, cls, 1 + b.alternating_sum(), b.get(0) == 0))
+            out.append(_LinkRow(rho, cls, b.get(0) == 0))
         rows = cache[field] = tuple(out)
     return rows
 

@@ -6,9 +6,10 @@ strings in either format (any other JSON value is rejected); bare numerals in
 text files are read as ints.  A declared vertex list must contain every
 vertex of the facets.
 
-Posets: JSON {"elements": [...], "covers": [["x","y"], ...]}; the special
-names "bottom"/"top" are optional and are adjoined automatically when absent,
-provided the poset has a unique minimum and maximum.
+Posets: a JSON object {"elements": [...], "covers": [["x","y"], ...]} whose
+two values are lists; the special names "bottom"/"top" are optional and are
+adjoined automatically when absent, provided the poset has a unique minimum
+and maximum.
 
 Move logs: JSON list of {"op": ..., "parameters": ..., "resulting": [f0, f1]}.
 Replay re-runs each step through the code that recorded it, certifying every
@@ -104,11 +105,16 @@ def load_poset(path) -> GradedPoset:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e.msg}", line=e.lineno, column=e.colno) from e
-    if "elements" not in payload or "covers" not in payload:
-        raise ParseError('poset JSON needs "elements" and "covers"')
-    elements = [_label(e) if isinstance(e, str) else e for e in payload["elements"]]
-    covers = [(_label(a) if isinstance(a, str) else a, _label(b) if isinstance(b, str) else b)
-              for a, b in payload["covers"]]
+    if not isinstance(payload, dict) or "elements" not in payload or "covers" not in payload:
+        raise ParseError('poset JSON needs an object with "elements" and "covers"')
+    if not isinstance(payload["elements"], list) or not isinstance(payload["covers"], list):
+        raise ParseError('poset "elements" and "covers" must be lists')
+
+    def element(e):
+        return _label(e) if isinstance(e, str) else e
+
+    elements = [element(e) for e in payload["elements"]]
+    covers = [[element(e) for e in c] if isinstance(c, list) else c for c in payload["covers"]]
     P = GradedPoset(elements, covers)
     mins = [e for e in P.elements if not P._lower[e]]
     maxs = [e for e in P.elements if not P._upper[e]]

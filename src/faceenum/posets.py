@@ -42,13 +42,25 @@ class GradedPoset:
 
     def __init__(self, elements, covers):
         self.elements = tuple(elements)
-        eset = set(self.elements)
+        try:
+            eset = set(self.elements)
+        except TypeError:
+            raise InvalidPoset("poset elements must be hashable") from None
         if len(eset) != len(self.elements):
             raise InvalidPoset("duplicate elements")
-        self.covers = tuple((a, b) for a, b in covers)
-        for a, b in self.covers:
-            if a not in eset or b not in eset:
+        pairs = []
+        for c in covers:
+            if not isinstance(c, (tuple, list)) or len(c) != 2:
+                raise InvalidPoset(f"cover {c!r} is not a pair")
+            a, b = c
+            try:
+                known = a in eset and b in eset
+            except TypeError:  # an unhashable member is no element
+                known = False
+            if not known:
                 raise InvalidPoset(f"cover ({a!r}, {b!r}) mentions unknown element")
+            pairs.append((a, b))
+        self.covers = tuple(pairs)
         self._upper = {e: [] for e in self.elements}
         self._lower = {e: [] for e in self.elements}
         for a, b in self.covers:
@@ -228,11 +240,14 @@ def order_complex(P: GradedPoset, reduced: bool = True):
 
     Returns (complex, coloring, labels) where labels maps poset elements to
     the complex's vertex labels.  The reduced form drops bottom and top; its
-    rank coloring makes it completely balanced.
+    rank coloring makes it completely balanced.  A poset of rank one has an
+    empty proper part, whose order complex is the (-1)-sphere {()}.
     """
     P.validate()
     rank = P.rank
     ground = P.proper_part() if reduced else list(P.elements)
+    if not ground:
+        return SimplicialComplex([()]), Coloring((), {}), {}
     ground = sorted(ground, key=lambda e: (rank[e], repr(e)))
     labels = {e: f"p{i}" for i, e in enumerate(ground)}
     chains = _all_chains(P, ground)

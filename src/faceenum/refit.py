@@ -30,7 +30,7 @@ from .constructions import (
     _tree_from_circle,
 )
 from .errors import HypothesisNotMet
-from .homology import RATIONALS, FieldSpec, manifold_report
+from .homology import manifold_report
 from .trees import SimpleTree, _codim3_tree, _lift_tree
 
 
@@ -211,9 +211,7 @@ def _insert_edge(K, rho2, circle, x, y, log):
 
 def two_neighborly_refit(
     K: SimplicialComplex,
-    field: FieldSpec = RATIONALS,
     log: MoveLog | None = None,
-    verify_input: bool = True,
     seed: int | None = None,
 ) -> RefitResult:
     """Produce a 2-neighborly triangulation of the same homology type with a
@@ -227,10 +225,8 @@ def two_neighborly_refit(
     K.require_pure("refit")
     if K.d < 4:
         raise HypothesisNotMet("refit needs facet size d >= 4")
-    if verify_input:
-        rep = manifold_report(K, field)
-        if not rep.closed:
-            raise HypothesisNotMet("refit needs a connected closed homology manifold")
+    if not manifold_report(K).closed:
+        raise HypothesisNotMet("refit needs a connected closed homology manifold")
     if K.is_i_neighborly(2):
         found = _codim3_tree(K, node_budget=20_000, seed=seed)
         if found is not None:

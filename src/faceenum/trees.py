@@ -5,6 +5,10 @@ A simple (d-1)-tree is an ordered facet list where each facet after the first
 meets the union of its predecessors in a single codimension-one face lying on
 the boundary of that union; each step contributes exactly one new vertex.
 Simple trees are simplicial balls and their boundaries are stacked spheres.
+
+Certification, random growth and the backtracking search share one
+attachment rule, read from ridge counts updated as facets are added.
+Homology checks here run over Q.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, face, face_key, fresh_vertices
+from .complexes import SimplicialComplex, face, face_key, fresh_vertex
 from .errors import (
     NotABall,
     NotASphereLink,
@@ -20,7 +24,7 @@ from .errors import (
     TreeNotFound,
     VertexCollision,
 )
-from .homology import RATIONALS, FieldSpec, betti, is_homology_sphere, manifold_report
+from .homology import is_homology_ball, is_homology_sphere
 
 
 @dataclass(frozen=True)
@@ -53,14 +57,30 @@ class SimpleTree:
         return set(self.natural_order) == set(self.host.vertices)
 
 
+def _count_ridges(counts: dict, f: tuple, step: int = 1) -> dict:
+    """Add ``step`` to the count of every ridge of the facet f."""
+    for j in range(len(f)):
+        r = f[:j] + f[j + 1:]
+        counts[r] = counts.get(r, 0) + step
+    return counts
+
+
+def _attachment(g: tuple, verts: set, ridge_counts: dict):
+    """The new vertex if g attaches to the simple tree with these vertices and
+    ridge counts (one new vertex, remaining ridge in one tree facet), else None."""
+    new = [v for v in g if v not in verts]
+    if len(new) != 1:
+        return None
+    ridge = tuple(v for v in g if v != new[0])
+    return new[0] if ridge_counts.get(ridge) == 1 else None
+
+
 def tree_boundary(B: SimplicialComplex) -> SimplicialComplex:
     """Boundary of a pure full-dimensional subcomplex: ridges lying in exactly
     one facet, together with their faces."""
     counts: dict = {}
     for f in B.facets:
-        for j in range(len(f)):
-            r = f[:j] + f[j + 1:]
-            counts[r] = counts.get(r, 0) + 1
+        _count_ridges(counts, f)
     bdry = [r for r, c in counts.items() if c == 1]
     if not bdry:
         return SimplicialComplex([()])
@@ -82,32 +102,18 @@ def validate_simple_tree(host: SimplicialComplex, ordered_facets) -> SimpleTree:
             raise NotSimpleTree(f"facet {idx} has {len(f)} vertices, expected {size}", index=idx)
         if not host.has_face(f):
             raise NotSimpleTree(f"facet {idx} = {f!r} is not a face of the host", index=idx)
-    seen = set(facets[0])
-    order = list(facets[0])
-    union_facets = [facets[0]]
     if len(set(facets)) != len(facets):
         dup = max(i for i, f in enumerate(facets) if f in facets[:i])
         raise NotSimpleTree("repeated facet", index=dup)
-    for idx in range(1, len(facets)):
-        f = facets[idx]
-        inter = set(f) & seen
-        new = set(f) - seen
-        if len(new) != 1:
-            raise NotSimpleTree(
-                f"facet {idx} introduces {len(new)} new vertices, expected exactly 1", index=idx
-            )
-        if len(inter) != size - 1:
-            raise NotSimpleTree(f"facet {idx} meets the prior union in {len(inter)} vertices", index=idx)
-        ridge = face(inter)
-        # attachment ridge must lie in exactly one prior facet (free face)
-        hits = sum(1 for g in union_facets if set(ridge) <= set(g))
-        if hits != 1:
-            raise NotSimpleTree(
-                f"facet {idx} attaches along a ridge contained in {hits} prior facets", index=idx
-            )
-        union_facets.append(f)
-        order.extend(new)
-        seen |= new
+    order = list(facets[0])
+    verts, counts = set(order), _count_ridges({}, facets[0])
+    for idx, f in enumerate(facets[1:], start=1):
+        new = _attachment(f, verts, counts)
+        if new is None:
+            raise NotSimpleTree(f"facet {idx} = {f!r} does not attach along a free ridge", index=idx)
+        _count_ridges(counts, f)
+        order.append(new)
+        verts.add(new)
     return SimpleTree(tuple(facets), host, tuple(order))
 
 
@@ -117,62 +123,40 @@ def grow_simple_tree(host: SimplicialComplex, length: int, rng: random.Random) -
     facets = list(host.facets)
     start = rng.choice(facets)
     chosen = [start]
-    verts = set(start)
+    verts, counts = set(start), _count_ridges({}, start)
     for _ in range(length - 1):
-        candidates = []
-        for g in facets:
-            if g in chosen:
-                continue
-            inter = set(g) & verts
-            if len(inter) != len(g) - 1:
-                continue
-            ridge = face(inter)
-            hits = sum(1 for c in chosen if set(ridge) <= set(c))
-            if hits == 1:
-                candidates.append(g)
+        candidates = [g for g in facets if _attachment(g, verts, counts) is not None]
         if not candidates:
             return None
         nxt = rng.choice(candidates)
         chosen.append(nxt)
-        verts |= set(nxt)
+        verts.update(nxt)
+        _count_ridges(counts, nxt)
     return validate_simple_tree(host, chosen)
 
 
-def central_retriangulation(
-    K: SimplicialComplex,
-    B,
-    new_vertex=None,
-    field: FieldSpec = RATIONALS,
-) -> SimplicialComplex:
+def central_retriangulation(K: SimplicialComplex, B, new_vertex=None) -> SimplicialComplex:
     """Replace the interior of a full-dimensional ball subcomplex B by the
     cone over its boundary from a fresh vertex.
 
     ``B`` may be a certified SimpleTree (a simple tree is a ball, so it is
     trusted), a complex, or a facet list; the latter two are verified to be
-    homology balls over ``field``.
+    homology balls over Q.
     """
     if isinstance(B, SimpleTree):
         ball = B.as_complex()
-        certified = True
     elif isinstance(B, SimplicialComplex):
         ball = B
-        certified = False
     else:
         ball = SimplicialComplex(B)
-        certified = False
     facet_set = set(K.facets)
     for f in ball.facets:
         if f not in facet_set:
             raise NotABall(f"{f!r} is not a facet of the ambient complex")
-    if not certified:
-        b = betti(ball, field)
-        if not b.is_point():
-            raise NotABall("subcomplex does not have the homology of a point")
-        rep = manifold_report(ball, field, require_connected=False)
-        if not rep.is_homology_manifold or rep.boundary is None:
-            raise NotABall("subcomplex is not a homology ball")
+    if not isinstance(B, SimpleTree) and not is_homology_ball(ball):
+        raise NotABall("subcomplex is not a homology ball")
     if new_vertex is None:
-        new_vertex = fresh_vertices(K, 1)[0]
+        new_vertex = fresh_vertex(K)
     if new_vertex in set(K.vertices):
         raise VertexCollision(f"vertex {new_vertex!r} already present")
     bdry = tree_boundary(ball)
@@ -215,33 +199,24 @@ def find_spanning_tree_in_link(
         rng.shuffle(cands)
         return cands
 
-    def search(chosen, verts):
+    def search(chosen, verts, counts):
         if budget[0] <= 0:
             return None
         budget[0] -= 1
         if len(verts) == target:
             return list(chosen)
-        cands = []
-        for g in facets:
-            if g in chosen:
-                continue
-            inter = set(g) & verts
-            if len(inter) != 2:
-                continue
-            ridge = face(inter)
-            if sum(1 for c in chosen if set(ridge) <= set(c)) != 1:
-                continue
-            cands.append(g)
-        for g in order(cands):
+        for g in order([g for g in facets if _attachment(g, verts, counts) is not None]):
             chosen.append(g)
-            got = search(chosen, verts | set(g))
+            _count_ridges(counts, g)
+            got = search(chosen, verts | set(g), counts)
             if got is not None:
                 return got
+            _count_ridges(counts, g, -1)
             chosen.pop()
         return None
 
     for start in order(list(facets)):
-        got = search([start], set(start))
+        got = search([start], set(start), _count_ridges({}, start))
         if got is not None:
             return validate_simple_tree(L, got)
         if budget[0] <= 0:

@@ -57,6 +57,16 @@ def test_audit_exit_codes(tmp_path, capsys):
     assert main(["audit", p2]) == 0
 
 
+def test_analyze_disconnected_reports_what_is_defined(tmp_path, capsys):
+    two_circles = fe.SimplicialComplex([[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
+    p = write_complex(tmp_path, two_circles)
+    assert main(["analyze", p]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["manifold"] is None
+    assert out["betti_reduced"] == [1, 2]
+    assert out["f"] == [6, 6] and out["euler"] == 0
+
+
 def test_analyze_gf2_field(tmp_path, capsys):
     K = fe.from_facets(
         [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],

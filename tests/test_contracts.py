@@ -13,7 +13,7 @@ from faceenum import io as fio
 from faceenum.audit import INAPPLICABLE
 from faceenum.cli import main
 from faceenum.complexes import label_key
-from faceenum.errors import ArgumentOutOfRange, FaceEnumError, ParseError
+from faceenum.errors import ArgumentOutOfRange, FaceEnumError, InvalidPoset, ParseError
 from test_census import _handle
 
 
@@ -98,3 +98,29 @@ def test_cli_audit_exits_0_on_the_torus(tmp_path, capsys):
     fio.save_complex(torus7(), p)
     assert main(["audit", str(p)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("payload,error", [
+    ({"elements": [[1], [2]], "covers": [[[1], [2]]]}, InvalidPoset),  # unhashable elements
+    ({"elements": ["a", "b"], "covers": [["a"]]}, InvalidPoset),  # a cover that is not a pair
+    (5, ParseError),
+    ({"elements": ["a", "b"], "covers": 7}, ParseError),
+    ({"elements": "ab", "covers": [["a", "b"]]}, ParseError),  # not one element per character
+])
+def test_malformed_poset_json_exit_2(payload, error, tmp_path, capsys):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(error):
+        fio.load_poset(p)
+    assert main(["poset", str(p), "--which", "toric"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("elements,covers", [
+    (["a", "b"], [("a", ["b"])]),  # an unhashable cover member is no element
+    (["a", "b"], [("a", "b", "c")]),
+    (["a", "b"], ["ab"]),
+])
+def test_graded_poset_rejects_malformed_covers(elements, covers):
+    with pytest.raises(InvalidPoset):
+        fe.GradedPoset(elements, covers)

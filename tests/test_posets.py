@@ -106,6 +106,12 @@ def test_order_complex_of_chain():
     assert len(oc.facets) == 1 and oc.dim == 2
 
 
+def test_order_complex_of_empty_proper_part():
+    oc, col, labels = fe.order_complex(fe.GradedPoset(["a", "b"], [("a", "b")]))
+    assert oc == fe.SimplicialComplex([()])  # the (-1)-sphere
+    assert col == fe.Coloring((), {}) and labels == {}
+
+
 def test_toric_boolean():
     for d in (3, 4, 5):
         t = fe.toric_h(fe.boolean_lattice(d))
