@@ -41,7 +41,10 @@ class GradedPoset:
     """
 
     def __init__(self, elements, covers):
-        self.elements = tuple(elements)
+        try:
+            self.elements, covers = tuple(elements), tuple(covers)
+        except TypeError:
+            raise InvalidPoset("poset elements and covers must be iterable") from None
         try:
             eset = set(self.elements)
         except TypeError:

@@ -1,16 +1,22 @@
 """Retriangulation pipeline producing a 2-neighborly triangulation together
 with a spanning simple tree through a codimension-three face.
 
-The pipeline has three stages.  First a spanning simple tree is built from a
-facet walk: a dual-graph traversal unfolds into an abstract simple tree with
-a dimension-preserving simplicial map onto the complex, and central
-retriangulations of embedded vertex stars make the map injective on vertices.
-Second, repeating the stage inside successive links concentrates the tree's
-facets on a common face of codimension three.  Third, missing edges are
-created one at a time: a pair of retriangulations brings the two nonadjacent
-vertices to distance two on a spanning circle link, a single one-move inserts
-the edge, and two more retriangulations restore the spanning-circle state.
-Each cycle removes exactly one nonedge, which is the termination measure.
+The pipeline has four stages.  First, direct one-moves: a nonedge {x, y}
+with a ridge F whose two facets are F+x and F+y is closed by the one-move
+(F, {x, y}), which adds no vertex; on a 2-neighborly result the pipeline ends
+as soon as a spanning simple tree through a codimension-three face is found.
+The remaining stages are the fallback for the nonedges left over.  Second, a
+spanning simple tree is built from a facet walk: a dual-graph traversal
+unfolds into an abstract simple tree with a dimension-preserving simplicial
+map onto the complex, and central retriangulations of embedded vertex stars
+make the map injective on vertices.  Third, repeating that stage inside
+successive links concentrates the tree's facets on a common face of
+codimension three.  Fourth, missing edges are created one at a time: a pair
+of retriangulations brings the two nonadjacent vertices to distance two on a
+spanning circle link, a single one-move inserts the edge, and two more
+retriangulations restore the spanning-circle state.  Each cycle removes
+exactly one nonedge, which is the termination measure, and adds about four
+vertices.
 
 Every intermediate complex is homeomorphic to the input, so the Betti vector
 is preserved; callers verify this on the output.
@@ -46,7 +52,28 @@ def _pairs(seq):
 
 
 # ---------------------------------------------------------------------------
-# stage one: spanning simple tree in a link (or the whole complex for W = ())
+# stage one: direct one-moves
+
+
+def _direct_one_moves(K: SimplicialComplex, log: MoveLog | None) -> SimplicialComplex:
+    """Close every nonedge {x, y} that has a ridge F with facets F+x and F+y
+    by the one-move (F, {x, y}); sweep until a sweep makes no move.  With
+    d >= 4 such a move removes no edge and keeps the homeomorphism type."""
+    moved = True
+    while moved:
+        moved = False
+        for x, y in K.nonedges():
+            for f in K.facets_containing((x,)):
+                F = tuple(v for v in f if v != x)
+                if K.has_face(F + (y,)):
+                    K = _bistellar_step(K, BistellarMove(F, (x, y)), log)
+                    moved = True
+                    break
+    return K
+
+
+# ---------------------------------------------------------------------------
+# stage two: spanning simple tree in a link (or the whole complex for W = ())
 
 
 def _grow_tree_map(L: SimplicialComplex):
@@ -139,7 +166,7 @@ def _tree_in_link(K: SimplicialComplex, W: tuple, log: MoveLog | None):
 
 
 # ---------------------------------------------------------------------------
-# stage two: concentrate the tree on a codimension-three face
+# stage three: concentrate the tree on a codimension-three face
 
 
 def _concentrated_tree(K: SimplicialComplex, log: MoveLog | None):
@@ -159,7 +186,7 @@ def _concentrated_tree(K: SimplicialComplex, log: MoveLog | None):
 
 
 # ---------------------------------------------------------------------------
-# stage three: insert the missing edges
+# stage four: insert the missing edges
 
 
 def _arc(circle: list, a, b) -> list:
@@ -217,8 +244,10 @@ def two_neighborly_refit(
     """Produce a 2-neighborly triangulation of the same homology type with a
     spanning simple tree through a codimension-three face.
 
-    A 2-neighborly input is returned unchanged when a spanning simple 2-tree
-    is found in one of its codimension-three links.  Otherwise the cycle of
+    Direct one-moves first close every nonedge they can, without adding a
+    vertex (a 2-neighborly input makes none).  If the complex is then
+    2-neighborly and a spanning simple 2-tree is found in one of its
+    codimension-three links, it is returned.  Otherwise the cycle of
     retriangulations and one-moves runs until no nonedge remains; the nonedge
     count strictly decreases each cycle.
     """
@@ -227,6 +256,7 @@ def two_neighborly_refit(
         raise HypothesisNotMet("refit needs facet size d >= 4")
     if not manifold_report(K).closed:
         raise HypothesisNotMet("refit needs a connected closed homology manifold")
+    K = _direct_one_moves(K, log)
     if K.is_i_neighborly(2):
         found = _codim3_tree(K, node_budget=20_000, seed=seed)
         if found is not None:

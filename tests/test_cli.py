@@ -113,6 +113,18 @@ def test_generate_fill_and_replay(tmp_path, capsys):
     assert json.load(open(out)) == json.load(open(replayed))
 
 
+def test_generate_refit_and_replay(tmp_path, capsys):
+    start = write_complex(tmp_path, fe.kuhnel_lassmann(13, 2), "K.json")
+    out = tmp_path / "R.json"
+    assert main(["generate", "refit", "--input", start, "--out", str(out)]) == 0
+    replayed = tmp_path / "R2.json"
+    assert main(["replay", "--input", start, "--log", str(out) + ".moves.json", "--out", str(replayed)]) == 0
+    capsys.readouterr()
+    R = fio.load_complex(out)
+    assert len(R.vertices) == 13
+    assert fio.load_complex(replayed).facets == R.facets
+
+
 def test_generate_realize(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["generate", "realize", "--space", "cp2", "--g1", "5", "--g2", "12", "--out", str(out)]) == 0

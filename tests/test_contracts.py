@@ -124,3 +124,9 @@ def test_malformed_poset_json_exit_2(payload, error, tmp_path, capsys):
 def test_graded_poset_rejects_malformed_covers(elements, covers):
     with pytest.raises(InvalidPoset):
         fe.GradedPoset(elements, covers)
+
+
+@pytest.mark.parametrize("elements,covers", [(["a"], 7), (5, [])])
+def test_graded_poset_rejects_non_iterable_elements_or_covers(elements, covers):
+    with pytest.raises(InvalidPoset):
+        fe.GradedPoset(elements, covers)
