@@ -2,6 +2,10 @@
 semi-Eulerian classification, flag vectors, the toric h/g recursion, the
 ab-polynomial encoding of flag h-vectors, and the cd-index.
 
+Only :func:`order_complex` lists chains: flag vectors come from a dynamic
+program over ranks, the Mobius function from one row mu(x, .) per element, and
+the order complex's Euler characteristic from mu(bottom, top) by Hall's theorem.
+
 Toric coefficients follow the convention th(P,x) = th_d + th_{d-1} x + ... +
 th_0 x^d for a poset of rank d+1, the mirror image of the indexing used in
 Stanley's book; palindromicity statements below are written in this
@@ -18,6 +22,7 @@ from math import comb
 
 from .complexes import Coloring, SimplicialComplex, face_key
 from .errors import (
+    ArgumentOutOfRange,
     InvalidPoset,
     NotComparable,
     NotInCDSpan,
@@ -147,30 +152,33 @@ class GradedPoset:
         except InvalidPoset:
             return False
 
-    def interval(self, x, y) -> frozenset:
-        if not self.leq(x, y):
-            raise NotComparable(f"{x!r} is not below {y!r}")
-        return frozenset(e for e in self.below[y] if self.leq(x, e))
-
     def proper_part(self) -> list:
         b, t = self.bottom, self.top
         return [e for e in self.elements if e != b and e != t]
 
     # -- Mobius function ------------------------------------------------------
 
+    def _mobius_row(self, x) -> dict:
+        """mu(x, y) for every y >= x, in one pass over the up-set of x."""
+        row = self._mobius_cache.get(x)
+        if row is None:
+            below, up, stack = self.below, {x}, [x]
+            while stack:
+                for b in self._upper[stack.pop()]:
+                    if b not in up:
+                        up.add(b)
+                        stack.append(b)
+            row = {x: 1}
+            # z < y makes below[z] a proper subset of below[y]: a linear extension
+            for y in sorted(up - {x}, key=lambda e: len(below[e])):
+                row[y] = -sum(row[z] for z in below[y] if z in row)
+            self._mobius_cache[x] = row
+        return row
+
     def mobius(self, x, y) -> int:
         if not self.leq(x, y):
             raise NotComparable(f"{x!r} is not below {y!r}")
-        key = (x, y)
-        cached = self._mobius_cache.get(key)
-        if cached is not None:
-            return cached
-        if x == y:
-            val = 1
-        else:
-            val = -sum(self.mobius(x, z) for z in self.interval(x, y) if z != y)
-        self._mobius_cache[key] = val
-        return val
+        return self._mobius_row(x)[y]
 
 
 def classify_poset(P: GradedPoset) -> str:
@@ -179,13 +187,10 @@ def classify_poset(P: GradedPoset) -> str:
         P.validate()
     except InvalidPoset:
         return "Neither"
-    rank = P.rank
-    bottom, top = P.bottom, P.top
+    rank, bottom, top = P.rank, P.bottom, P.top
     for x in P.elements:
-        for y in P.elements:
-            if (x, y) == (bottom, top) or not P.leq(x, y):
-                continue
-            if P.mobius(x, y) != (-1) ** (rank[y] - rank[x]):
+        for y, m in P._mobius_row(x).items():
+            if (x, y) != (bottom, top) and m != (-1) ** (rank[y] - rank[x]):
                 return "Neither"
     if P.mobius(bottom, top) == (-1) ** P.total_rank:
         return "Eulerian"
@@ -274,17 +279,27 @@ def flag_vectors(P: GradedPoset) -> tuple[FlagVector, FlagVector]:
     d = P.total_rank - 1
     counts: dict[frozenset, int] = {frozenset(S): 0 for k in range(d + 1)
                                     for S in itertools.combinations(range(1, d + 1), k)}
-    for chain in _all_chains(P, P.proper_part()):
-        counts[frozenset(rank[e] for e in chain)] += 1
+    ending: dict = {}  # e -> {rank set S: number of chains with ranks S topped by e}
+    for e in sorted(P.proper_part(), key=rank.__getitem__):
+        top_rank = frozenset({rank[e]})
+        own = {top_rank: 1}
+        for z in P.below[e]:
+            for S, n in ending.get(z, {}).items():
+                S |= top_rank
+                own[S] = own.get(S, 0) + n
+        ending[e] = own
+        for S, n in own.items():
+            counts[S] += n
     counts[frozenset()] = 1
     ff = FlagVector(d, counts, "f")
     return ff, flag_h_from_flag_f(ff)
 
 
 def reduced_order_complex_euler(P: GradedPoset) -> int:
-    """Euler characteristic of the reduced order complex, from chain counts."""
-    chains = _all_chains(P, P.proper_part())
-    return sum((-1) ** (len(c) - 1) for c in chains)
+    """Euler characteristic of the reduced order complex: mu(bottom, top) + 1 by
+    Hall's theorem when bottom < top, and 0 for the one-element poset."""
+    P.validate()
+    return P.mobius(P.bottom, P.top) + 1 if P.total_rank else 0
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +371,7 @@ def _toric_tables(P: GradedPoset):
             g_memo[z] = [1]
             continue
         th = []
-        for w in P.below[z]:
-            if w == z:
-                continue
+        for w in P.below[z] - {z}:
             th = _poly_add(th, _poly_mul(g_memo[w], _x_minus_1_pow(r - 1 - rank[w])))
         th = th + [0] * (r - len(th))  # degree r-1 with explicit zeros
         th_memo[z] = th
@@ -494,27 +507,21 @@ def ab_from_flag_h(fh: FlagVector) -> ABPolynomial:
 
 def cd_words(degree: int) -> list:
     """All words in c (degree 1) and d (degree 2) of the given total degree."""
-    if degree == 0:
-        return [""]
-    out = []
-    for w in cd_words(degree - 1):
-        out.append("c" + w)
-    if degree >= 2:
-        for w in cd_words(degree - 2):
-            out.append("d" + w)
-    return sorted(out)
+    if degree < 0:
+        raise ArgumentOutOfRange(f"cd-words need a degree >= 0, got {degree}")
+    if degree < 2:
+        return ["c" * degree]
+    return sorted(["c" + w for w in cd_words(degree - 1)] + ["d" + w for w in cd_words(degree - 2)])
 
 
 def expand_cd_word(word: str) -> dict:
     """Expansion of a cd-word into ab-words with c = a+b and d = ab+ba."""
-    polys = {"": {"": 1}}
     current = {"": 1}
     for ch in word:
-        piece = {"a": 1, "b": 1} if ch == "c" else {"ab": 1, "ba": 1}
         nxt: dict = {}
         for w1, c1 in current.items():
-            for w2, c2 in piece.items():
-                nxt[w1 + w2] = nxt.get(w1 + w2, 0) + c1 * c2
+            for w2 in ("a", "b") if ch == "c" else ("ab", "ba"):
+                nxt[w1 + w2] = nxt.get(w1 + w2, 0) + c1
         current = nxt
     return current
 
@@ -553,9 +560,7 @@ def cd_index(ab: ABPolynomial) -> CDIndex:
     ab_words = ["".join(t) for t in itertools.product("ab", repeat=n)] if n else [""]
     columns = [expand_cd_word(w) for w in words]
     # rows: one equation per ab-word
-    rows = []
-    for abw in ab_words:
-        rows.append([Fraction(col.get(abw, 0)) for col in columns] + [Fraction(ab[abw])])
+    rows = [[Fraction(col.get(abw, 0)) for col in columns] + [Fraction(ab[abw])] for abw in ab_words]
     ncols = len(words)
     pivot_of_col: dict[int, int] = {}
     r = 0
@@ -580,12 +585,7 @@ def cd_index(ab: ABPolynomial) -> CDIndex:
     for c, pr in pivot_of_col.items():
         solution[c] = rows[pr][ncols]
     inconsistent = any(all(x == 0 for x in row[:ncols]) and row[ncols] != 0 for row in rows)
-    coeffs = {}
-    for w, v in zip(words, solution):
-        if v.denominator == 1:
-            coeffs[w] = int(v)
-        else:
-            coeffs[w] = v
+    coeffs = {w: int(v) if v.denominator == 1 else v for w, v in zip(words, solution)}
     if inconsistent:
         fitted = CDIndex(n, coeffs).expand()
         residual = ABPolynomial(n, {w: ab[w] - fitted[w] for w in ab_words})

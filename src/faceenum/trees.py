@@ -122,17 +122,18 @@ def grow_simple_tree(host: SimplicialComplex, length: int, rng: random.Random) -
     host.require_pure("simple tree growth")
     facets = list(host.facets)
     start = rng.choice(facets)
-    chosen = [start]
+    chosen, order = [start], list(start)
     verts, counts = set(start), _count_ridges({}, start)
     for _ in range(length - 1):
-        candidates = [g for g in facets if _attachment(g, verts, counts) is not None]
+        candidates = [(g, v) for g in facets if (v := _attachment(g, verts, counts)) is not None]
         if not candidates:
             return None
-        nxt = rng.choice(candidates)
+        nxt, new = rng.choice(candidates)
         chosen.append(nxt)
-        verts.update(nxt)
+        order.append(new)
+        verts.add(new)
         _count_ridges(counts, nxt)
-    return validate_simple_tree(host, chosen)
+    return SimpleTree(tuple(chosen), host, tuple(order))  # each facet passed _attachment
 
 
 def central_retriangulation(K: SimplicialComplex, B, new_vertex=None) -> SimplicialComplex:

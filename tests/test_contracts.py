@@ -14,6 +14,7 @@ from faceenum.audit import INAPPLICABLE
 from faceenum.cli import main
 from faceenum.complexes import label_key
 from faceenum.errors import ArgumentOutOfRange, FaceEnumError, InvalidPoset, ParseError
+from faceenum.posets import cd_words
 from test_census import _handle
 
 
@@ -130,3 +131,19 @@ def test_graded_poset_rejects_malformed_covers(elements, covers):
 def test_graded_poset_rejects_non_iterable_elements_or_covers(elements, covers):
     with pytest.raises(InvalidPoset):
         fe.GradedPoset(elements, covers)
+
+
+def test_cd_index_of_a_rank_zero_poset_is_out_of_range():
+    with pytest.raises(ArgumentOutOfRange):
+        cd_words(-1)
+    fh = fe.flag_vectors(fe.boolean_lattice(0))[1]
+    with pytest.raises(ArgumentOutOfRange):
+        fe.cd_index(fe.ab_from_flag_h(fh))
+    assert cd_words(0) == [""] and cd_words(1) == ["c"]
+
+
+def test_cli_cd_of_a_rank_zero_poset_exits_2(tmp_path, capsys):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"elements": ["a"], "covers": []}))
+    assert main(["poset", str(p), "--which", "cd"]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -84,6 +84,15 @@ def test_central_retriangulation_h_effect_dim4_fan():
     assert fe.is_homology_sphere(K2)
 
 
+def test_grown_tree_equals_its_certification(kl11):
+    rng = random.Random(11)
+    for host in (kl11, fe.catalog("cp2_9").payload, fe.stacked_sphere(9, 4)):
+        for length in (1, 3, 6):
+            tree = grow_simple_tree(host, length, rng)
+            if tree is not None:
+                assert tree == fe.validate_simple_tree(host, tree.facets)
+
+
 def test_central_retriangulation_table_trees(cp2):
     link_tree = fe.catalog("cp2_tree").payload
     facets = [tuple(sorted((1, 2) + f)) for f in link_tree.facets]
