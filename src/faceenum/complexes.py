@@ -7,14 +7,19 @@ are enumerated on demand rather than stored, since the face lattice explodes
 with dimension while the facet lists stay small.
 
 All operations are pure: they return new complexes and never mutate inputs,
-so values are freely shareable across threads.
+so values are freely shareable across threads.  The successor of a
+construction move is built by a local edit of its parent and carries the
+parent's caches (vertex index, vertices, f-vector), edited only around the
+touched star; the full constructor stays the reference path.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import inf
 
 from .errors import (
     AdmissibilityViolation,
@@ -59,6 +64,17 @@ def face_key(f) -> tuple:
     return tuple(label_key(v) for v in f)
 
 
+def _facet_order(f) -> tuple:
+    """Facet order of a complex: by size, then by ``label_key`` of the labels.
+
+    A face lists its int labels before its str labels; an infinity between
+    the two runs orders them the same way without an int-str comparison."""
+    if not f or isinstance(f[-1], int):
+        return (len(f), f + (inf,))
+    k = next(i for i, v in enumerate(f) if isinstance(v, str))
+    return (len(f), f[:k] + (inf,) + f[k:])
+
+
 class SimplicialComplex:
     """Immutable simplicial complex given by its facets.
 
@@ -71,7 +87,7 @@ class SimplicialComplex:
     __slots__ = ("facets", "__dict__")
 
     def __init__(self, facets):
-        fs = sorted({face(f) for f in facets}, key=lambda f: (len(f), [label_key(v) for v in f]))
+        fs = sorted({face(f) for f in facets}, key=_facet_order)
         if not fs:
             raise EmptyInput("a complex needs at least one facet (use [()] for the empty-face complex)")
         # antichain reduction; same-size faces cannot contain one another, so
@@ -89,7 +105,7 @@ class SimplicialComplex:
             for k in small_sizes:
                 if k < len(f):
                     subset_pool.update(itertools.combinations(f, k))
-        keep.sort(key=lambda f: (len(f), [label_key(v) for v in f]))
+        keep.sort(key=_facet_order)
         self.facets = tuple(keep)
 
     # -- identity ---------------------------------------------------------
@@ -112,9 +128,9 @@ class SimplicialComplex:
             seen.update(f)
         return tuple(sorted(seen, key=label_key))
 
-    @cached_property
+    @property
     def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
+        return len(self.facets[-1]) - 1  # facets are sorted by size
 
     @property
     def d(self) -> int:
@@ -122,19 +138,16 @@ class SimplicialComplex:
         return self.dim + 1
 
     @cached_property
-    def _facet_sets(self) -> tuple:
-        return tuple(frozenset(f) for f in self.facets)
-
-    @cached_property
     def _vertex_to_facets(self) -> dict:
+        """Each vertex's facets, as a tuple in facet order."""
         idx = {}
-        for i, f in enumerate(self.facets):
+        for f in self.facets:
             for v in f:
-                idx.setdefault(v, []).append(i)
-        return idx
+                idx.setdefault(v, []).append(f)
+        return {v: tuple(fs) for v, fs in idx.items()}
 
     def is_pure(self) -> bool:
-        return all(len(f) == len(self.facets[0]) for f in self.facets)
+        return len(self.facets[0]) == len(self.facets[-1])
 
     def require_pure(self, what: str = "operation"):
         if not self.is_pure():
@@ -144,19 +157,19 @@ class SimplicialComplex:
         rho = face(rho)
         if not rho:
             return True
-        cands = self._vertex_to_facets.get(rho[0])
-        if cands is None:
-            return False
-        rs = frozenset(rho)
-        return any(rs <= self._facet_sets[i] for i in cands)
+        rs, last = set(rho), rho[-1]
+        return any(last in f and rs.issubset(f) for f in self._vertex_to_facets.get(rho[0], ()))
 
     def facets_containing(self, rho) -> list:
+        """The facets that contain rho, in facet order."""
         rho = face(rho)
         if not rho:
             return list(self.facets)
         cands = self._vertex_to_facets.get(rho[0], ())
-        rs = frozenset(rho)
-        return [self.facets[i] for i in cands if rs <= self._facet_sets[i]]
+        if len(rho) == 1:
+            return list(cands)
+        rs, last = set(rho), rho[-1]
+        return [f for f in cands if last in f and rs.issubset(f)]
 
     def all_faces(self, i: int) -> set:
         """The set of i-dimensional faces; i ranges over -1 .. dim."""
@@ -266,6 +279,66 @@ class SimplicialComplex:
 
     def relabel(self, mapping: dict) -> "SimplicialComplex":
         return SimplicialComplex([[mapping.get(v, v) for v in f] for f in self.facets])
+
+    def _edited(self, removed, added) -> "SimplicialComplex":
+        """The successor with the facets ``removed`` replaced by the new
+        canonical faces ``added``, built by a local edit.
+
+        The caller guarantees that ``removed`` are facets, that ``added`` are
+        not faces, and that the result is an antichain.  The facet order is
+        that of the full constructor.  The vertex index and the vertices are
+        edited around the touched vertices; the f-vector is carried only when
+        the parent has one, by counting the faces of the removed and added
+        facets against the kept facets.
+        """
+        removed = set(removed)
+        fs = list(self.facets)
+        for f in removed:
+            del fs[bisect_left(fs, _facet_order(f), key=_facet_order)]
+        for f in added:
+            insort(fs, f, key=_facet_order)
+        out = SimplicialComplex.__new__(SimplicialComplex)
+        out.facets = tuple(fs)
+        old_idx = self._vertex_to_facets
+        idx = dict(old_idx)
+        verts = list(self.vertices)
+        for v in {v for f in (*removed, *added) for v in f}:
+            star = [f for f in old_idx.get(v, ()) if f not in removed]
+            for f in added:
+                if v in f:
+                    insort(star, f, key=_facet_order)
+            if star:
+                if v not in old_idx:
+                    insort(verts, v, key=label_key)
+                idx[v] = tuple(star)
+            else:
+                del idx[v]
+                del verts[bisect_left(verts, label_key(v), key=label_key)]
+        out.__dict__.update(_vertex_to_facets=idx, vertices=tuple(verts))
+        if "f_vector" in self.__dict__:
+            out.__dict__["f_vector"] = self._edited_f_vector(removed, added, len(fs[-1]) + 1)
+        return out
+
+    def _edited_f_vector(self, removed: set, added, size: int) -> tuple:
+        """f-vector after the edit of ``_edited``: a face of only the removed
+        facets disappears and a face of only the added facets is new, unless
+        a kept facet contains it.  Faces go by size, so a face with a lost
+        subface is lost without a look at the stars."""
+        def faces_of(facets):
+            return {s for f in facets for k in range(1, len(f) + 1) for s in itertools.combinations(f, k)}
+
+        counts = list(self.f_vector) + [0] * (size - len(self.f_vector))
+        born = faces_of(added)
+        lost = set()  # faces that no kept facet contains
+        for s in sorted(faces_of(removed) ^ born, key=len):
+            if not any(s[:i] + s[i + 1:] in lost for i in range(len(s))):
+                rs = set(s)
+                star = min((self._vertex_to_facets.get(v, ()) for v in s), key=len)
+                if any(rs.issubset(g) and g not in removed for g in star):
+                    continue
+            lost.add(s)
+            counts[len(s)] += 1 if s in born else -1
+        return tuple(counts[:size])
 
 
 def from_facets(facet_list) -> SimplicialComplex:
@@ -402,8 +475,7 @@ def simplex(d: int) -> SimplicialComplex:
 
 def fresh_vertex(K: SimplicialComplex) -> str:
     """The first of the labels 'w1', 'w2', ... that K does not use."""
-    used = set(K.vertices)
     i = 1
-    while f"w{i}" in used:
+    while f"w{i}" in K._vertex_to_facets:
         i += 1
     return f"w{i}"

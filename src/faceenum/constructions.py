@@ -37,8 +37,8 @@ class MoveLog:
     steps: list = field(default_factory=list)
 
     def record(self, op: str, parameters: dict, K: SimplicialComplex):
-        # (f0, f1) from the cached vertex and edge sets, not a face count
-        self.steps.append({"op": op, "parameters": parameters, "resulting": [len(K.vertices), len(K.edges)]})
+        # (f0, f1) from the f-vector a move's successor carries, not a face count
+        self.steps.append({"op": op, "parameters": parameters, "resulting": list((K.f_vector + (0,))[1:3])})
 
     def to_jsonable(self) -> list:
         return self.steps
@@ -93,21 +93,21 @@ def check_move(K: SimplicialComplex, move: BistellarMove):
     F, G = move.F, move.G
     if set(F) & set(G):
         raise IllegalMove("F and G must be disjoint")
-    if not F:
-        raise IllegalMove("F must be nonempty")
+    if not F or not G:
+        raise IllegalMove("F and G must be nonempty")
     K.require_pure("bistellar move")
     if len(F) + len(G) != K.d + 1:
         raise IllegalMove(f"|F|+|G| = {len(F) + len(G)}, expected d+1 = {K.d + 1}")
     allowed = [face(F + tuple(x for x in G if x != g)) for g in G]
-    facet_set = set(K.facets)
+    star = K.facets_containing(F)
     for fac in allowed:
-        if fac not in facet_set:
+        if fac not in star:
             raise IllegalMove(f"missing facet {fac!r}: induced subcomplex is smaller than F * dG")
     if len(G) >= 2 and K.has_face(G):
         raise IllegalMove(f"{G!r} is already a face: induced subcomplex exceeds F * dG")
-    if len(G) == 1 and G[0] in K.vertices:
+    if len(G) == 1 and K.has_face(G):
         raise IllegalMove(f"subdivision vertex {G[0]!r} already present")
-    for fac in K.facets_containing(F):
+    for fac in star:
         if fac not in allowed:
             raise IllegalMove(f"extra facet {fac!r} contains F: link of F exceeds dG")
 
@@ -127,11 +127,11 @@ def apply_bistellar(K: SimplicialComplex, move: BistellarMove, check_h: bool = T
     """Apply a legal bistellar move; the h-vector change is asserted."""
     check_move(K, move)
     F, G = move.F, move.G
-    removed = {face(F + tuple(x for x in G if x != g)) for g in G}
+    expect = bistellar_h_effect(h_vector(K).entries, move.m, K.d) if check_h else None
+    removed = [face(F + tuple(x for x in G if x != g)) for g in G]
     added = [face(G + tuple(x for x in F if x != f)) for f in F]
-    result = SimplicialComplex([f for f in K.facets if f not in removed] + added)
+    result = K._edited(removed, added)
     if check_h:
-        expect = bistellar_h_effect(h_vector(K).entries, move.m, K.d)
         got = h_vector(result).entries
         if got != expect:
             raise IllegalMove(f"h-vector effect mismatch: got {got}, expected {expect}")
@@ -269,7 +269,7 @@ def s1xs3_fill(
                     state={"edges": edges, "delta": delta, "x": x},
                 ) from e
             edges += 1
-            if len(K.edges) != edges:
+            if K.f_vector[2] != edges:
                 raise ScheduleBlocked("move did not add exactly one edge")
             if check_betti and betti(K).reduced_betti != baseline.reduced_betti:
                 raise ScheduleBlocked("intermediate complex changed its Betti vector")

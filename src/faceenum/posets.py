@@ -105,6 +105,14 @@ class GradedPoset:
         return order
 
     def leq(self, x, y) -> bool:
+        """x <= y; an argument that is not an element raises ArgumentOutOfRange."""
+        for e in (x, y):
+            try:
+                known = e in self._upper
+            except TypeError:  # an unhashable argument is no element
+                known = False
+            if not known:
+                raise ArgumentOutOfRange(f"{e!r} is not an element of the poset")
         return x in self.below[y]
 
     @cached_property

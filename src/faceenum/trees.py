@@ -150,22 +150,16 @@ def central_retriangulation(K: SimplicialComplex, B, new_vertex=None) -> Simplic
         ball = B
     else:
         ball = SimplicialComplex(B)
-    facet_set = set(K.facets)
     for f in ball.facets:
-        if f not in facet_set:
+        if f not in K.facets_containing(f):
             raise NotABall(f"{f!r} is not a facet of the ambient complex")
     if not isinstance(B, SimpleTree) and not is_homology_ball(ball):
         raise NotABall("subcomplex is not a homology ball")
     if new_vertex is None:
         new_vertex = fresh_vertex(K)
-    if new_vertex in set(K.vertices):
+    if K.has_face((new_vertex,)):
         raise VertexCollision(f"vertex {new_vertex!r} already present")
-    bdry = tree_boundary(ball)
-    ball_facets = set(ball.facets)
-    new_facets = [f for f in K.facets if f not in ball_facets]
-    for g in bdry.facets:
-        new_facets.append(face(g + (new_vertex,)))
-    return SimplicialComplex(new_facets)
+    return K._edited(ball.facets, [face(g + (new_vertex,)) for g in tree_boundary(ball).facets])
 
 
 def find_spanning_tree_in_link(

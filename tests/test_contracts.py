@@ -147,3 +147,18 @@ def test_cli_cd_of_a_rank_zero_poset_exits_2(tmp_path, capsys):
     p.write_text(json.dumps({"elements": ["a"], "covers": []}))
     assert main(["poset", str(p), "--which", "cd"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("x,y", [
+    (frozenset(), "zz"),  # y is no element
+    ("zz", frozenset()),  # x is no element
+    ([1], frozenset({1})),  # an unhashable argument is no element
+    (frozenset(), [1]),
+])
+def test_leq_and_mobius_reject_non_elements(x, y):
+    P = fe.boolean_lattice(3)
+    with pytest.raises(ArgumentOutOfRange):
+        P.leq(x, y)
+    with pytest.raises(ArgumentOutOfRange):
+        fe.mobius(P, x, y)
+    assert fe.mobius(P, frozenset(), frozenset({1, 2, 3})) == -1

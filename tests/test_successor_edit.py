@@ -1,0 +1,155 @@
+"""Successor complexes by local edit.
+
+``apply_bistellar`` and ``central_retriangulation`` build their result from
+the parent complex by a local edit that carries the parent's caches.  Every
+step of a random legal move sequence is checked here against the full
+constructor ``SimplicialComplex(K.facets)``, which stays the reference path.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import faceenum as fe
+from faceenum.complexes import SimplicialComplex, face, fresh_vertex
+from faceenum.constructions import BistellarMove, apply_bistellar, check_move
+from faceenum.errors import IllegalMove
+from faceenum.trees import central_retriangulation, grow_simple_tree
+
+SEEDS = {
+    "stacked7_3": lambda: fe.stacked_sphere(7, 3),
+    "stacked8_4": lambda: fe.stacked_sphere(8, 4),
+    "stacked9_5": lambda: fe.stacked_sphere(9, 5),
+    "kl11_2": lambda: fe.kuhnel_lassmann(11, 2),
+    "ball8_4": lambda: SimplicialComplex(fe.stacked_sphere(8, 4).facets[1:]),  # a face can lose its last facet
+}
+KINDS = ("zero", "one", "unzero", "tree")
+
+
+def _one_moves(K) -> list:
+    """1-moves (F, {x, y}) for each ridge F in exactly the two facets F+x and
+    F+y, with {x, y} not an edge."""
+    opposite: dict = {}
+    for f in K.facets:
+        for j in range(len(f)):
+            opposite.setdefault(f[:j] + f[j + 1:], []).append(f[j])
+    return [BistellarMove(r, xs) for r, xs in opposite.items() if len(xs) == 2 and not K.has_face(xs)]
+
+
+def _reverse_zero_moves(K) -> list:
+    """Legal moves ({v}, G) that remove a vertex v whose link is the boundary
+    of the simplex G."""
+    out = []
+    for v in K.vertices:
+        star = K.facets_containing((v,))
+        if len(star) != K.d:
+            continue
+        move = BistellarMove((v,), tuple({x for f in star for x in f} - {v}))
+        try:
+            check_move(K, move)
+        except IllegalMove:
+            continue
+        out.append(move)
+    return out
+
+
+def _faces_of(facets) -> set:
+    return {s for f in facets for k in range(1, len(f) + 1) for s in itertools.combinations(f, k)}
+
+
+def _assert_like_fresh(K, touched):
+    assert "f_vector" in K.__dict__, "the successor did not carry its parent's f-vector"
+    R = SimplicialComplex(K.facets)
+    assert K.facets == R.facets
+    assert K.vertices == R.vertices
+    assert K.f_vector == R.f_vector
+    assert K.is_pure() == R.is_pure() and K.dim == R.dim
+    assert K._vertex_to_facets == R._vertex_to_facets
+    for s in _faces_of(touched):
+        assert K.facets_containing(s) == R.facets_containing(s), s
+        assert K.has_face(s) == R.has_face(s), s
+
+
+def _step(K, kind, rng):
+    """One legal move of the given kind, falling back to a 0-move; returns
+    (K', removed facets, added facets)."""
+    moves = {"one": _one_moves, "unzero": _reverse_zero_moves}.get(kind, lambda K: [])(K)
+    if kind == "tree":
+        tree = grow_simple_tree(K, rng.randint(1, 4), rng)
+        if tree is not None:
+            K2 = central_retriangulation(K, tree)
+            w = (set(K2.vertices) - set(K.vertices)).pop()
+            return K2, tree.facets, K2.facets_containing((w,))
+    move = rng.choice(moves) if moves else BistellarMove(rng.choice(K.facets), (fresh_vertex(K),))
+    K2 = apply_bistellar(K, move)
+    removed = set(K.facets) - set(K2.facets)
+    added = set(K2.facets) - set(K.facets)
+    assert removed == {face(move.F + tuple(x for x in move.G if x != g)) for g in move.G}
+    return K2, removed, added
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SEEDS)), st.lists(st.sampled_from(KINDS), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_successor_caches_equal_a_fresh_build(seed_name, kinds, seed):
+    rng = random.Random(seed)
+    K = SEEDS[seed_name]()
+    K.f_vector  # a chain carries f only from a parent that has it
+    for kind in kinds:
+        K2, removed, added = _step(K, kind, rng)
+        _assert_like_fresh(K2, [*removed, *added])
+        assert set(K2.facets) == (set(K.facets) - set(removed)) | set(added)
+        K = K2
+
+
+def test_reverse_zero_move_removes_the_vertex():
+    K = fe.stacked_sphere(9, 4)
+    K.f_vector
+    (move,) = [m for m in _reverse_zero_moves(K) if m.F == (9,)]
+    K2 = apply_bistellar(K, move)
+    assert 9 not in K2.vertices and 9 not in K2._vertex_to_facets
+    _assert_like_fresh(K2, K.facets_containing((9,)) + [move.G])
+    assert K2 == fe.stacked_sphere(8, 4)
+
+
+def test_successor_without_a_cached_parent_f_counts_nothing():
+    K = fe.stacked_sphere(8, 4)
+    K2 = apply_bistellar(K, BistellarMove(K.facets[0], ("w1",)), check_h=False)
+    assert "f_vector" not in K2.__dict__
+    assert K2.f_vector == SimplicialComplex(K2.facets).f_vector
+
+
+def test_move_with_empty_g_is_illegal():
+    K = fe.stacked_sphere(6, 4)
+    with pytest.raises(IllegalMove):
+        apply_bistellar(K, BistellarMove((1, 2, 3, 4, 5), ()), check_h=False)
+
+
+@pytest.fixture
+def face_enumerations(monkeypatch):
+    """The complexes whose faces ``SimplicialComplex.faces`` enumerates."""
+    seen = []
+    faces = SimplicialComplex.faces
+
+    def counting(self):
+        seen.append(self)
+        return faces(self)
+
+    monkeypatch.setattr(SimplicialComplex, "faces", counting)
+    return seen
+
+
+def test_fill_enumerates_the_faces_of_its_seed_only(face_enumerations):
+    fe.s1xs3_fill(20, 150, log=fe.MoveLog())
+    assert len(face_enumerations) <= 1
+    assert all(K == fe.kuhnel_lassmann(20, 2) for K in face_enumerations)
+
+
+def test_stacked_sphere_enumerates_no_faces(face_enumerations):
+    K = fe.stacked_sphere(60, 5)
+    assert face_enumerations == [] and len(K.vertices) == 60
