@@ -28,7 +28,7 @@ from .constructions import (
     stacked_sphere,
 )
 from .errors import FaceEnumError
-from .homology import GF2, RATIONALS, betti, euler_characteristic, is_eulerian, is_semi_eulerian, manifold_report
+from .homology import GF2, RATIONALS, betti, euler_characteristic, is_semi_eulerian, manifold_report, sphere_euler
 from .posets import (
     ab_from_flag_h,
     bayer_billera_defects,
@@ -69,18 +69,20 @@ def _print_table(payload: dict, prefix: str = ""):
 def _analyze_payload(K: SimplicialComplex, args) -> dict:
     field = _field(args)
     hv = h_vector(K)
+    chi = euler_characteristic(K)
+    semi = is_semi_eulerian(K)
     payload = {
         "vertices": len(K.vertices),
         "dim": K.dim,
         "f": list(f_vector(K).entries[1:]),
         "h": list(hv.entries),
         "g": list(g_from_h(hv).entries),
-        "euler": euler_characteristic(K),
+        "euler": chi,
         "two_neighborly": K.is_i_neighborly(2),
         "field": str(field),
         "betti_reduced": list(betti(K, field).positive_range()),
-        "semi_eulerian": is_semi_eulerian(K),
-        "eulerian": is_eulerian(K),
+        "semi_eulerian": semi,
+        "eulerian": semi and chi == sphere_euler(K.dim),
         "ds_defect": list(ds_defect(K)),
         "manifold": None,  # manifold recognition needs a connected complex
     }
@@ -102,7 +104,7 @@ def _analyze_payload(K: SimplicialComplex, args) -> dict:
         payload["fine_f"] = {str(k): v for k, v in sorted(ff.entries.items())}
         payload["fine_h"] = {str(k): v for k, v in sorted(fh.entries.items())}
         payload["fine_ds_defect"] = {
-            str(k): v for k, v in sorted(fine_ds_defect(fh, euler_characteristic(K)).items())
+            str(k): v for k, v in sorted(fine_ds_defect(fh, chi).items())
         }
     return payload
 

@@ -8,14 +8,24 @@ Everything is exact: ranks over Q use integer-preserving sparse elimination
 bitmask rows, GF(p) uses sparse rows mod p.
 
 The sphere and manifold predicates share one link census per complex and
-field: a single walk over the nonempty faces that computes the Betti numbers
-of each face's link once and records the link's class (sphere, ball or bad)
-and whether it is connected.  The census is cached on the immutable complex;
-the Eulerian predicates need only face counts.  Links of links need no second
-walk, since lk_{lk rho}(sigma) = lk_K(rho u sigma): a link is a homology
-manifold without boundary exactly when every face strictly containing rho has
-a sphere link.  The construction layer (trees, constructions, refit, catalog)
-runs its homology checks over Q; only the recognition predicates take a field.
+field: a single walk over the nonempty faces that classifies each face's link
+once (sphere, ball or bad) and records whether it is connected.  The census is
+cached on the immutable complex; the Eulerian predicates need only face
+counts.  Links of links need no second walk, since lk_{lk rho}(sigma) =
+lk_K(rho u sigma): a link is a homology manifold without boundary exactly when
+every face strictly containing rho has a sphere link.
+
+Ranks are computed for links of dimension >= 3; smaller links are counted
+where they can be.  The walk goes from the largest faces down, so the rows
+above a face exist when it is classified.  A link of dimension <= 1 is a
+graph, and its Betti numbers are counts (components, and E - V +
+components).  A 2-dimensional link of a pure complex with no bad row above it
+is a surface, possibly with boundary; it is a sphere when closed with chi = 2,
+a ball when a disk (or RP^2 over a field of odd or zero characteristic), and
+bad otherwise.  Any other 2-dimensional link is ranked.
+
+The construction layer (trees, constructions, refit, catalog) runs its
+homology checks over Q; only the recognition predicates take a field.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, face_key
+from .complexes import SimplicialComplex, _facet_order
 from .errors import ArgumentOutOfRange
 
 
@@ -253,7 +263,7 @@ def betti(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> BettiVector:
     d = K.dim
     if d == -1:  # only the empty face: reduced homology of the (-1)-sphere
         return BettiVector(field, (1,))
-    faces_by_dim = [sorted(K.all_faces(i), key=face_key) for i in range(0, d + 1)]
+    faces_by_dim = [sorted(K.all_faces(i), key=_facet_order) for i in range(0, d + 1)]
     ranks = [0] * (d + 2)  # ranks[k] = rank of boundary_k, k = 0..d
     ranks[0] = 1  # augmentation: every vertex maps to the empty face
     for k in range(1, d + 1):
@@ -299,15 +309,115 @@ def _link_census(K: SimplicialComplex, field: FieldSpec) -> tuple:
     cache = K._link_censuses
     rows = cache.get(field)
     if rows is None:
-        out = []
-        for rho in K.faces():
-            if not rho:
-                continue
-            b = betti(K.link(rho), field)
-            cls = "sphere" if b.is_sphere(K.dim - len(rho)) else "ball" if b.is_point() else "bad"
-            out.append(_LinkRow(rho, cls, b.get(0) == 0))
-        rows = cache[field] = tuple(out)
+        rows = cache[field] = _census_rows(K, field)
     return rows
+
+
+def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
+    """The census walk.  Faces with at least dim K - 2 vertices are classified
+    from the largest down, each from its star; smaller faces are ranked.
+
+    A link of dimension <= 1 is a graph, and its homology is counting.  When
+    K is pure and no row above rho is bad, the 2-dimensional link lk rho is a
+    surface, possibly with boundary: each of its edges lies in one or two
+    triangles (the ridge rows) and each vertex link is a path or a cycle.
+    Connectivity, chi and the boundary then decide it; only RP^2 depends on
+    the field.  Any other 2-dimensional link is ranked.
+    """
+    d = K.dim
+    low = max(d - 2, 1)
+    stars: dict = {}  # face with >= low vertices -> the facets containing it
+    for f in K.facets:
+        for k in range(low, len(f) + 1):
+            for s in itertools.combinations(f, k):
+                stars.setdefault(s, []).append(f)
+    surfaces = K.is_pure() and d - 2 >= 1
+    spoiled = set()  # faces of size d - 2 below a bad row
+    rows = {}
+    for rho in sorted(stars, key=len, reverse=True):
+        link = _star_link(rho, stars[rho])
+        if surfaces and len(rho) == d - 2 and rho not in spoiled:
+            row = _LinkRow(rho, *_surface_class(link, field))
+        elif max(map(len, link)) <= 2:
+            row = _link_row(rho, _graph_betti(link, field), d)
+        else:
+            row = _link_row(rho, betti(SimplicialComplex(link), field), d)
+        if surfaces and row.cls == "bad" and len(rho) > d - 2:
+            spoiled.update(itertools.combinations(rho, d - 2))
+        rows[rho] = row
+    out = []
+    for rho in K.faces():
+        if rho:
+            row = rows.get(rho)
+            if row is None:
+                link = SimplicialComplex(_star_link(rho, K.facets_containing(rho)))
+                row = _link_row(rho, betti(link, field), d)
+            out.append(row)
+    return tuple(out)
+
+
+def _star_link(rho: tuple, star) -> list:
+    """The facets of lk rho, from the facets containing rho."""
+    rs = set(rho)
+    return [tuple(v for v in f if v not in rs) for f in star]
+
+
+def _link_row(rho: tuple, b: BettiVector, dim: int) -> _LinkRow:
+    cls = "sphere" if b.is_sphere(dim - len(rho)) else "ball" if b.is_point() else "bad"
+    return _LinkRow(rho, cls, b.get(0) == 0)
+
+
+def _components(vertices, edges) -> int:
+    """Number of connected components of a graph, by union-find."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    count = len(parent)
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            count -= 1
+    return count
+
+
+def _graph_betti(link: list, field: FieldSpec) -> BettiVector:
+    """Reduced Betti numbers of a complex of dimension <= 1, given by its
+    facets: beta_0 = components - 1 and beta_1 = E - V + components."""
+    if link == [()]:
+        return BettiVector(field, (1,))
+    vertices = {v for f in link for v in f}
+    edges = [f for f in link if len(f) == 2]
+    c = _components(vertices, edges)
+    if not edges:
+        return BettiVector(field, (0, c - 1))
+    return BettiVector(field, (0, c - 1, len(edges) - len(vertices) + c))
+
+
+def _surface_class(triangles: list, field: FieldSpec) -> tuple:
+    """(class, connected) of a link given by its triangles, when it is a
+    surface, possibly with boundary: no row above its face is bad."""
+    edges: dict = {}
+    for a, b, c in triangles:
+        for e in ((a, b), (a, c), (b, c)):
+            edges[e] = edges.get(e, 0) + 1
+    vertices = {v for t in triangles for v in t}
+    components = _components(vertices, edges)
+    if components > 1:
+        return "bad", False
+    chi = len(vertices) - len(edges) + len(triangles)
+    if 1 in edges.values():  # with boundary: only the disk is acyclic
+        return ("ball" if chi == 1 else "bad"), True
+    if chi == 2:
+        return "sphere", True
+    if chi == 1:  # RP^2: acyclic unless the field has characteristic 2
+        return ("bad" if field.p == 2 else "ball"), True
+    return "bad", True
 
 
 def is_homology_sphere(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
@@ -365,9 +475,9 @@ def _orientable(K: SimplicialComplex, boundary: SimplicialComplex | None, field:
     d = K.dim
     if d < 0:
         return True
-    top = sorted(K.all_faces(d), key=face_key)
+    top = sorted(K.all_faces(d), key=_facet_order)
     bfaces = set(boundary.faces()) if boundary is not None else set()
-    mid = sorted(K.all_faces(d - 1) - bfaces, key=face_key) if d >= 1 else []
+    mid = sorted(K.all_faces(d - 1) - bfaces, key=_facet_order) if d >= 1 else []
     rows = _boundary_rows(top, {f: i for i, f in enumerate(mid)})
     return len(top) - matrix_rank(rows, field) == 1
 

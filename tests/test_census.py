@@ -12,14 +12,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faceenum as fe
 from conftest import rp2_six
+from faceenum import homology
 from faceenum.audit import _links_closed
 from faceenum.catalog import s2xs2_two_neighborly
 from faceenum.homology import _link_census
 
-FIELDS = (fe.RATIONALS, fe.GF2)
+FIELDS = (fe.RATIONALS, fe.GF2, fe.FieldSpec(3))
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +115,25 @@ def _random_complexes(count, seed=20071017):
     return out
 
 
+# surfaces for cones and suspensions: their 2-dimensional links reach the
+# counting rule, and the last two force the ranked fallback
+SURFACES = {
+    "moebius": [[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 1], [5, 1, 2]],
+    "annulus": [[1, 2, 4], [2, 4, 5], [2, 3, 5], [3, 5, 6], [1, 3, 6], [1, 4, 6]],
+    "rp2": rp2_six().facets,
+    "bowtie": [[1, 2, 3], [1, 4, 5]],
+    "three-triangle-edge": [[1, 2, 3], [1, 2, 4], [1, 2, 5]],
+}
+
+
+def _cone(K):
+    return K.join(fe.from_facets([[100]]))
+
+
+def _suspension(K):
+    return K.join(fe.from_facets([[100], [101]]))
+
+
 def _inputs():
     kl11, kl12 = fe.kuhnel_lassmann(11, 2), fe.kuhnel_lassmann(12, 2)
     rp2 = rp2_six()
@@ -136,6 +158,11 @@ def _inputs():
         ("simplex", fe.simplex(4)),
         ("point", fe.SimplicialComplex([[1]])),
     ]
+    named.append(("kl15_3", fe.kuhnel_lassmann(15, 3)))
+    for name, facets in SURFACES.items():
+        named.append((f"cone-{name}", _cone(fe.from_facets(facets))))
+        if name != "rp2":  # susp-rp2 is above
+            named.append((f"susp-{name}", _suspension(fe.from_facets(facets))))
     named += [(f"random{i}", K) for i, K in enumerate(_random_complexes(40))]
     return named
 
@@ -188,3 +215,61 @@ def test_census_rows_follow_faces_and_carry_link_euler(name, K, field):
     for row in rows:
         L = K.link(row.face)
         assert row.connected == (fe.betti(L, field).get(0) == 0)
+
+
+def _assert_rows_match_oracle(K, field):
+    rows = _link_census(_fresh(K), field)
+    assert [row.face for row in rows] == [rho for rho in K.faces() if rho]
+    for row in rows:
+        b = fe.betti(K.link(row.face), field)
+        assert (row.cls, row.connected) == (old_link_class(K, row.face, field), b.get(0) == 0), row
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name,K", INPUTS, ids=[n for n, _ in INPUTS])
+def test_census_rows_match_ranked_links(name, K, field):
+    _assert_rows_match_oracle(K, field)
+
+
+@st.composite
+def pure_complexes(draw):
+    """A random pure 2- or 3-dimensional complex, or its cone."""
+    size = draw(st.sampled_from((3, 4)))
+    n = draw(st.integers(size + 1, size + 4))
+    pool = list(itertools.combinations(range(1, n + 1), size))
+    facets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    K = fe.SimplicialComplex(facets)
+    return _cone(K) if draw(st.booleans()) else K
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_complexes(), st.sampled_from(FIELDS))
+def test_census_rows_match_ranked_links_on_random_complexes(K, field):
+    _assert_rows_match_oracle(K, field)
+
+
+# (name, complex, links the census ranks over Q)
+RANKED = [
+    ("kl15_3", fe.kuhnel_lassmann(15, 3), 435),
+    ("kl13_2", fe.kuhnel_lassmann(13, 2), 13),
+    ("stacked60_5", fe.stacked_sphere(60, 5), 60),
+    ("cp2_9", fe.catalog("cp2_9").payload, 9),
+    ("cone-moebius", _cone(fe.from_facets(SURFACES["moebius"])), 0),
+    ("cone-three-triangle-edge", _cone(fe.from_facets(SURFACES["three-triangle-edge"])), 3),
+]
+
+
+@pytest.mark.parametrize("name,K,ranked", RANKED, ids=[n for n, _, _ in RANKED])
+def test_census_ranks_only_links_it_cannot_count(monkeypatch, name, K, ranked):
+    """Only links of dimension >= 3, and 2-dimensional links below a bad row,
+    are ranked: the count of ``betti`` calls inside the census is exact."""
+    calls = []
+    real = homology.betti
+
+    def counting_betti(L, field=fe.RATIONALS):
+        calls.append(L)
+        return real(L, field)
+
+    monkeypatch.setattr(homology, "betti", counting_betti)
+    _link_census(_fresh(K), fe.RATIONALS)
+    assert len(calls) == ranked
