@@ -15,14 +15,19 @@ counts.  Links of links need no second walk, since lk_{lk rho}(sigma) =
 lk_K(rho u sigma): a link is a homology manifold without boundary exactly when
 every face strictly containing rho has a sphere link.
 
-Ranks are computed for links of dimension >= 3; smaller links are counted
-where they can be.  The walk goes from the largest faces down, so the rows
-above a face exist when it is classified.  A link of dimension <= 1 is a
-graph, and its Betti numbers are counts (components, and E - V +
-components).  A 2-dimensional link of a pure complex with no bad row above it
-is a surface, possibly with boundary; it is a sphere when closed with chi = 2,
-a ball when a disk (or RP^2 over a field of odd or zero characteristic), and
-bad otherwise.  Any other 2-dimensional link is ranked.
+Each link is decided in three steps: counted where it can be, else by a
+collapse certificate, else by ranks.  The walk goes from the largest faces
+down, so the rows above a face exist when it is classified.  A link of
+dimension <= 1 is a graph, and its Betti numbers are counts (components, and
+E - V + components).  A 2-dimensional link of a pure complex with no bad row
+above it is a surface, possibly with boundary; it is a sphere when closed with
+chi = 2, a ball when a disk (or RP^2 over a field of odd or zero
+characteristic), and bad otherwise.  Every other link is collapsed greedily.
+If it collapses to one vertex it is contractible, a ball.  If it does once
+one open facet F of dimension m = dim K - |rho| is removed, then by excision
+its reduced homology is H(F, dF), that of S^m, over every field.  Only the
+links where the collapse gets stuck (bad links, and acyclic ones such as the
+dunce hat) are ranked.  ``betti`` of a whole complex always ranks.
 
 The construction layer (trees, constructions, refit, catalog) runs its
 homology checks over Q; only the recognition predicates take a field.
@@ -61,8 +66,9 @@ class FieldSpec:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise ArgumentOutOfRange(f"{self.p} is not prime")
+        p = self.p
+        if p is not None and (not isinstance(p, int) or isinstance(p, bool) or not _is_prime(p)):
+            raise ArgumentOutOfRange(f"field characteristic {p!r} is neither None nor a prime int")
 
     @property
     def is_rationals(self) -> bool:
@@ -74,6 +80,11 @@ class FieldSpec:
 
 RATIONALS = FieldSpec(None)
 GF2 = FieldSpec(2)
+
+
+def _require_field(field) -> None:
+    if not isinstance(field, FieldSpec):
+        raise ArgumentOutOfRange(f"field {field!r} is not a FieldSpec")
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +271,12 @@ class BettiVector:
 
 def betti(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> BettiVector:
     """Reduced Betti numbers of K via exact ranks of boundary matrices."""
+    _require_field(field)
     d = K.dim
     if d == -1:  # only the empty face: reduced homology of the (-1)-sphere
         return BettiVector(field, (1,))
-    faces_by_dim = [sorted(K.all_faces(i), key=_facet_order) for i in range(0, d + 1)]
+    key = _same_size_key(K)
+    faces_by_dim = [sorted(K.all_faces(i), key=key) for i in range(0, d + 1)]
     ranks = [0] * (d + 2)  # ranks[k] = rank of boundary_k, k = 0..d
     ranks[0] = 1  # augmentation: every vertex maps to the empty face
     for k in range(1, d + 1):
@@ -275,6 +288,14 @@ def betti(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> BettiVector:
         fi = len(faces_by_dim[i])
         values.append(fi - ranks[i] - ranks[i + 1])
     return BettiVector(field, tuple(values))
+
+
+def _same_size_key(K: SimplicialComplex):
+    """Sort key for faces of one size: none (plain tuple order) when every
+    label of K is of one kind, where that order is ``_facet_order``'s, and
+    ``_facet_order`` when K mixes int and str labels."""
+    vs = K.vertices
+    return None if isinstance(vs[0], str) == isinstance(vs[-1], str) else _facet_order
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
@@ -306,6 +327,7 @@ def _link_census(K: SimplicialComplex, field: FieldSpec) -> tuple:
     The class is "sphere" when the link has the reduced homology of
     S^{dim K - |rho|}, "ball" when it has that of a point, and "bad" otherwise.
     """
+    _require_field(field)
     cache = K._link_censuses
     rows = cache.get(field)
     if rows is None:
@@ -341,7 +363,7 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
         elif max(map(len, link)) <= 2:
             row = _link_row(rho, _graph_betti(link, field), d)
         else:
-            row = _link_row(rho, betti(SimplicialComplex(link), field), d)
+            row = _collapsed_or_ranked_row(rho, link, d, field)
         if surfaces and row.cls == "bad" and len(rho) > d - 2:
             spoiled.update(itertools.combinations(rho, d - 2))
         rows[rho] = row
@@ -350,8 +372,7 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
         if rho:
             row = rows.get(rho)
             if row is None:
-                link = SimplicialComplex(_star_link(rho, K.facets_containing(rho)))
-                row = _link_row(rho, betti(link, field), d)
+                row = _collapsed_or_ranked_row(rho, _star_link(rho, K.facets_containing(rho)), d, field)
             out.append(row)
     return tuple(out)
 
@@ -365,6 +386,101 @@ def _star_link(rho: tuple, star) -> list:
 def _link_row(rho: tuple, b: BettiVector, dim: int) -> _LinkRow:
     cls = "sphere" if b.is_sphere(dim - len(rho)) else "ball" if b.is_point() else "bad"
     return _LinkRow(rho, cls, b.get(0) == 0)
+
+
+def _collapsed_or_ranked_row(rho: tuple, link: list, dim: int, field: FieldSpec) -> _LinkRow:
+    """The row of a link of dimension >= 2 (or of a non-pure complex's link of
+    a small face): by a collapse certificate when the greedy collapse decides
+    it, by ranks otherwise.  A certified link is connected: it is contractible
+    or has the homology of S^m with m = dim - |rho| >= 2."""
+    cls = _collapse_class(link, dim - len(rho))
+    if cls is not None:
+        return _LinkRow(rho, cls, True)
+    return _link_row(rho, betti(SimplicialComplex(link), field), dim)
+
+
+def _collapse_class(link: list, m: int) -> str | None:
+    """Decide a complex, given by its facets, by greedy elementary collapses.
+
+    "ball" when it collapses to one vertex: it is contractible.  "sphere" when
+    it collapses to one vertex once one open m-face F is removed (after the
+    collapses that need no removal): by excision its reduced homology is
+    H(F, dF), that of S^m, over every field.  None when the collapse gets
+    stuck, which it may also do on a ball or a sphere.
+
+    Vertices are numbered as bits in facet order and free faces are taken
+    first in, first out, so the order of the collapses is fixed.  (Last in,
+    first out got stuck on some 3-sphere links of (S^2xS^2)#(S^2xS^2).)  Each
+    face keeps the number and the XOR of its present cofaces with one more
+    vertex; a face with one coface is free and the XOR names that coface.
+    """
+    if link == [()]:  # the (-1)-sphere: no vertex to collapse to
+        return None
+    bit: dict = {}
+    tops = []
+    for f in link:
+        x = 0
+        for v in f:
+            b = bit.get(v)
+            if b is None:
+                b = bit[v] = 1 << len(bit)
+            x |= b
+        tops.append(x)
+    count: dict = {}  # present face -> number of its present cofaces
+    xor: dict = {}  # present face -> XOR of those cofaces
+    by_size = [[] for _ in range(len(bit) + 1)]
+    for x in tops:
+        count[x] = xor[x] = 0
+        by_size[x.bit_count()].append(x)
+    for k in range(len(by_size) - 1, 1, -1):  # each face from its cofaces
+        below = by_size[k - 1]
+        for t in by_size[k]:
+            r = t
+            while r:
+                b = r & -r
+                r ^= b
+                y = t ^ b
+                c = count.get(y)
+                if c is None:
+                    count[y] = 1
+                    xor[y] = t
+                    below.append(y)
+                else:
+                    count[y] = c + 1
+                    xor[y] ^= t
+    free = [s for s, c in count.items() if c == 1]
+
+    def remove(t):
+        del count[t]
+        if t & (t - 1):
+            r = t
+            while r:
+                b = r & -r
+                r ^= b
+                c = count[t ^ b] - 1
+                count[t ^ b] = c
+                xor[t ^ b] ^= t
+                if c == 1:
+                    free.append(t ^ b)
+
+    punctured = False
+    i = 0
+    while True:
+        while i < len(free):  # first in, first out
+            s = free[i]
+            i += 1
+            if count.get(s) == 1:
+                remove(xor[s])  # the only coface is a maximal face
+                remove(s)
+        if len(count) == 1:
+            return "sphere" if punctured else "ball"
+        if punctured:
+            return None
+        F = next((x for x in tops if x in count and x.bit_count() == m + 1), None)
+        if F is None:
+            return None
+        remove(F)
+        punctured = True
 
 
 def _components(vertices, edges) -> int:
@@ -475,9 +591,10 @@ def _orientable(K: SimplicialComplex, boundary: SimplicialComplex | None, field:
     d = K.dim
     if d < 0:
         return True
-    top = sorted(K.all_faces(d), key=_facet_order)
+    key = _same_size_key(K)
+    top = sorted(K.all_faces(d), key=key)
     bfaces = set(boundary.faces()) if boundary is not None else set()
-    mid = sorted(K.all_faces(d - 1) - bfaces, key=_facet_order) if d >= 1 else []
+    mid = sorted(K.all_faces(d - 1) - bfaces, key=key) if d >= 1 else []
     rows = _boundary_rows(top, {f: i for i, f in enumerate(mid)})
     return len(top) - matrix_rank(rows, field) == 1
 

@@ -9,7 +9,12 @@ boundaries, over Q and over GF(2).
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -115,14 +120,24 @@ def _random_complexes(count, seed=20071017):
     return out
 
 
-# surfaces for cones and suspensions: their 2-dimensional links reach the
-# counting rule, and the last two force the ranked fallback
+# The 8-vertex dunce hat: acyclic, and every edge lies in two or three
+# triangles, so no collapse can start on it or on its cone and suspension.
+DUNCE_HAT = [
+    [1, 2, 4], [1, 2, 7], [1, 2, 8], [1, 3, 4], [1, 3, 5], [1, 3, 6], [1, 5, 6],
+    [1, 7, 8], [2, 3, 5], [2, 3, 7], [2, 3, 8], [2, 4, 5], [3, 4, 8], [3, 6, 7],
+    [4, 5, 6], [4, 6, 8], [6, 7, 8],
+]
+
+# 2-complexes for cones and suspensions: the links of the surfaces reach the
+# counting rule, the next two force a collapse or the ranks, and the dunce
+# hat's apex links force the ranks
 SURFACES = {
     "moebius": [[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 1], [5, 1, 2]],
     "annulus": [[1, 2, 4], [2, 4, 5], [2, 3, 5], [3, 5, 6], [1, 3, 6], [1, 4, 6]],
     "rp2": rp2_six().facets,
     "bowtie": [[1, 2, 3], [1, 4, 5]],
     "three-triangle-edge": [[1, 2, 3], [1, 2, 4], [1, 2, 5]],
+    "dunce-hat": DUNCE_HAT,
 }
 
 
@@ -232,14 +247,16 @@ def test_census_rows_match_ranked_links(name, K, field):
 
 
 @st.composite
-def pure_complexes(draw):
-    """A random pure 2- or 3-dimensional complex, or its cone."""
-    size = draw(st.sampled_from((3, 4)))
+def pure_complexes(draw, sizes=(3, 4), over=_cone):
+    """A random pure complex with facets of one of the sizes, or a cone or
+    suspension over one.  With size + 1 vertices it is the boundary of a
+    simplex or part of it."""
+    size = draw(st.sampled_from(sizes))
     n = draw(st.integers(size + 1, size + 4))
     pool = list(itertools.combinations(range(1, n + 1), size))
     facets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
     K = fe.SimplicialComplex(facets)
-    return _cone(K) if draw(st.booleans()) else K
+    return over(K) if draw(st.booleans()) else K
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,21 +265,55 @@ def test_census_rows_match_ranked_links_on_random_complexes(K, field):
     _assert_rows_match_oracle(K, field)
 
 
+@settings(max_examples=60, deadline=None)
+@given(pure_complexes((4, 5), _suspension), st.sampled_from(FIELDS))
+def test_census_rows_match_ranked_links_on_random_3_and_4_complexes(K, field):
+    _assert_rows_match_oracle(K, field)
+
+
+NON_PURE = {
+    # facets with fewer than dim K - 2 vertices, added to a 4-sphere: the
+    # link of 20 is the (-1)-sphere, of 21 a point and of 23 an edge; the
+    # link of 30 is a point and an edge, and that of 1 a 3-sphere and a point
+    "small-facets": [[20], [21, 22], [23, 24, 25]],
+    "hanging-edge-and-triangle": [[1, 30], [30, 31, 32]],
+}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", NON_PURE)
+def test_census_rows_match_ranked_links_on_non_pure_complexes(name, field):
+    K = fe.SimplicialComplex([*fe.stacked_sphere(8, 5).facets, *NON_PURE[name]])
+    _assert_rows_match_oracle(K, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name,K", INPUTS, ids=[n for n, _ in INPUTS])
+def test_census_rows_without_collapse_certificates_are_equal(monkeypatch, name, K, field):
+    """With every collapse inconclusive, the ranks give the certified rows."""
+    certified = _link_census(_fresh(K), field)
+    monkeypatch.setattr(homology, "_collapse_class", lambda link, m: None)
+    assert _link_census(_fresh(K), field) == certified
+
+
 # (name, complex, links the census ranks over Q)
 RANKED = [
-    ("kl15_3", fe.kuhnel_lassmann(15, 3), 435),
-    ("kl13_2", fe.kuhnel_lassmann(13, 2), 13),
-    ("stacked60_5", fe.stacked_sphere(60, 5), 60),
-    ("cp2_9", fe.catalog("cp2_9").payload, 9),
+    ("kl15_3", fe.kuhnel_lassmann(15, 3), 0),
+    ("kl13_2", fe.kuhnel_lassmann(13, 2), 0),
+    ("stacked60_5", fe.stacked_sphere(60, 5), 0),
+    ("cp2_9", fe.catalog("cp2_9").payload, 0),
     ("cone-moebius", _cone(fe.from_facets(SURFACES["moebius"])), 0),
-    ("cone-three-triangle-edge", _cone(fe.from_facets(SURFACES["three-triangle-edge"])), 3),
+    ("cone-three-triangle-edge", _cone(fe.from_facets(SURFACES["three-triangle-edge"])), 0),
+    # the apex links (dunce hats) and the suspended links of the three
+    # vertices on the dunce hat's singular edge
+    ("susp-dunce-hat", _suspension(fe.from_facets(DUNCE_HAT)), 5),
 ]
 
 
 @pytest.mark.parametrize("name,K,ranked", RANKED, ids=[n for n, _, _ in RANKED])
 def test_census_ranks_only_links_it_cannot_count(monkeypatch, name, K, ranked):
-    """Only links of dimension >= 3, and 2-dimensional links below a bad row,
-    are ranked: the count of ``betti`` calls inside the census is exact."""
+    """Only the links that neither counting nor a collapse decides are
+    ranked: the count of ``betti`` calls inside the census is exact."""
     calls = []
     real = homology.betti
 
@@ -273,3 +324,40 @@ def test_census_ranks_only_links_it_cannot_count(monkeypatch, name, K, ranked):
     monkeypatch.setattr(homology, "betti", counting_betti)
     _link_census(_fresh(K), fe.RATIONALS)
     assert len(calls) == ranked
+
+
+_HASH_SEED_SCRIPT = """
+import json
+import faceenum as fe
+from faceenum import homology
+ranked = []
+real = homology.betti
+
+def counting_betti(L, field=fe.RATIONALS):
+    ranked.append(L)
+    return real(L, field)
+
+homology.betti = counting_betti
+out = []
+for K in (fe.kuhnel_lassmann(13, 2), fe.from_facets(%r).join(fe.from_facets([[100], [101]]))):
+    K = K.relabel({v: "v%%d" %% v for v in K.vertices})
+    ranked.clear()
+    rows = homology._link_census(K, fe.RATIONALS)
+    out.append([[list(r.face), r.cls, r.connected] for r in rows] + [len(ranked)])
+print(json.dumps(out))
+""" % (DUNCE_HAT,)
+
+
+def test_census_does_not_depend_on_the_hash_seed():
+    """Str labels hash differently under each PYTHONHASHSEED; the collapse
+    order, and so the rows and the ranked links, must not follow them."""
+    src = str(Path(fe.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == outs[1]
+    kl13, dunce = outs[0]
+    assert kl13[-1] == 0 and dunce[-1] == 5  # links ranked

@@ -162,3 +162,18 @@ def test_leq_and_mobius_reject_non_elements(x, y):
     with pytest.raises(ArgumentOutOfRange):
         fe.mobius(P, x, y)
     assert fe.mobius(P, frozenset(), frozenset({1, 2, 3})) == -1
+
+
+@pytest.mark.parametrize("p", ["3", [2], 3.5, 2.0, True, False, 4, 1, 0, -3])
+def test_field_spec_takes_only_none_or_a_prime_int(p):
+    with pytest.raises(ArgumentOutOfRange):
+        fe.FieldSpec(p)
+
+
+@pytest.mark.parametrize("field", ["Q", None, 2, "gf2"])
+@pytest.mark.parametrize("call", [
+    fe.betti, fe.manifold_report, fe.is_homology_sphere, fe.is_homology_ball, fe.audit,
+], ids=lambda f: f.__name__)
+def test_recognition_rejects_a_field_that_is_no_field_spec(call, field):
+    with pytest.raises(ArgumentOutOfRange):
+        call(torus7(), field)
