@@ -2,9 +2,12 @@
 semi-Eulerian classification, flag vectors, the toric h/g recursion, the
 ab-polynomial encoding of flag h-vectors, and the cd-index.
 
-Only :func:`order_complex` lists chains: flag vectors come from a dynamic
-program over ranks, the Mobius function from one row mu(x, .) per element, and
-the order complex's Euler characteristic from mu(bottom, top) by Hall's theorem.
+Every invariant is an exact integer recursion; only :func:`order_complex`
+lists chains.  Flag f-vectors come from one chain table per poset, a dynamic
+program over ranks.  The Mobius function comes one row mu(x, .) per element,
+and the order complex's Euler characteristic is mu(bottom, top) + 1 by Hall's
+theorem.  The toric recursion sums the g-polynomials below an element rank by
+rank.  The cd-index peels the last letter, Psi = A c + B d, and recurses.
 
 Toric coefficients follow the convention th(P,x) = th_d + th_{d-1} x + ... +
 th_0 x^d for a poset of rank d+1, the mirror image of the indexing used in
@@ -16,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import comb
+from operator import add, sub
 
 from .complexes import Coloring, SimplicialComplex, face_key
 from .errors import (
@@ -179,7 +182,8 @@ class GradedPoset:
             row = {x: 1}
             # z < y makes below[z] a proper subset of below[y]: a linear extension
             for y in sorted(up - {x}, key=lambda e: len(below[e])):
-                row[y] = -sum(row[z] for z in below[y] if z in row)
+                row[y] = 0  # y lies in its own interval [x, y]
+                row[y] = -sum(map(row.__getitem__, up & below[y]))
             self._mobius_cache[x] = row
         return row
 
@@ -188,9 +192,44 @@ class GradedPoset:
             raise NotComparable(f"{x!r} is not below {y!r}")
         return self._mobius_row(x)[y]
 
+    # -- chains -----------------------------------------------------------------
+
+    @cached_property
+    def _chain_table(self) -> list:
+        """table[S] = number of chains of the proper part with rank set S, for
+        every S inside [1, total_rank - 1] as a bitmask (rank i is bit i - 1).
+        The chains topped by e, by rank set below rank[e], are {e} and, for
+        each rank m, the sum of those lists over the elements of rank m < e."""
+        rank = self.rank
+        table = [0] * (1 << max(self.total_rank - 1, 0))
+        table[0] = 1
+        ending: dict = {}  # e -> number of chains topped by e, by rank set below rank[e]
+        for e in sorted(self.proper_part(), key=rank.__getitem__):
+            own = [1]
+            for m, lists in enumerate(self._below_by_rank(e, ending)):
+                own += map(sum, zip(*lists)) if lists else [0] * (1 << m >> 1)
+            ending[e] = own
+            lo = 1 << (rank[e] - 1)
+            table[lo:2 * lo] = map(add, table[lo:2 * lo], own)
+        return table
+
+    def _below_by_rank(self, e, values: dict) -> list:
+        """values[z] for the elements z below e that have one, grouped by rank."""
+        rank, groups = self.rank, [[] for _ in range(self.rank[e])]
+        for z in self.below[e]:
+            if z in values:
+                groups[rank[z]].append(values[z])
+        return groups
+
+
+def _require_poset(P) -> None:
+    if not isinstance(P, GradedPoset):
+        raise ArgumentOutOfRange(f"expected a GradedPoset, got {type(P).__name__}")
+
 
 def classify_poset(P: GradedPoset) -> str:
     """"Eulerian", "SemiEulerian" or "Neither" by the Mobius sign rule."""
+    _require_poset(P)
     try:
         P.validate()
     except InvalidPoset:
@@ -206,6 +245,7 @@ def classify_poset(P: GradedPoset) -> str:
 
 
 def mobius(P: GradedPoset, x, y) -> int:
+    _require_poset(P)
     return P.mobius(x, y)
 
 
@@ -232,25 +272,6 @@ def face_poset(K: SimplicialComplex, augment: bool = True) -> GradedPoset:
     return GradedPoset(elements, sorted(set(covers), key=repr))
 
 
-def _all_chains(P: GradedPoset, ground: list) -> list:
-    """All nonempty chains inside the given ground set, as tuples ordered by rank."""
-    rank = P.rank
-    ground = sorted(ground, key=lambda e: (rank[e], repr(e)))
-    succ = {e: [f for f in ground if f != e and P.leq(e, f)] for e in ground}
-    chains = []
-
-    def extend(chain, last):
-        chains.append(tuple(chain))
-        for f in succ[last]:
-            chain.append(f)
-            extend(chain, f)
-            chain.pop()
-
-    for e in ground:
-        extend([e], e)
-    return chains
-
-
 def order_complex(P: GradedPoset, reduced: bool = True):
     """Chains of P as a simplicial complex, with the rank coloring.
 
@@ -259,6 +280,7 @@ def order_complex(P: GradedPoset, reduced: bool = True):
     rank coloring makes it completely balanced.  A poset of rank one has an
     empty proper part, whose order complex is the (-1)-sphere {()}.
     """
+    _require_poset(P)
     P.validate()
     rank = P.rank
     ground = P.proper_part() if reduced else list(P.elements)
@@ -266,13 +288,14 @@ def order_complex(P: GradedPoset, reduced: bool = True):
         return SimplicialComplex([()]), Coloring((), {}), {}
     ground = sorted(ground, key=lambda e: (rank[e], repr(e)))
     labels = {e: f"p{i}" for i, e in enumerate(ground)}
-    chains = _all_chains(P, ground)
-    maxlen = max(len(ch) for ch in chains)
-    maximal = [c for c in chains if len(c) == maxlen]
-    # facets = maximal chains; lower chains are their subsets automatically
-    # only true in a graded poset, where every chain extends to a full flag
-    cpx = SimplicialComplex([[labels[e] for e in c] for c in maximal])
-    offset = min(rank[e] for e in ground) - 1
+    # facets = maximal chains, which in a graded poset climb by covers from
+    # the lowest rank of the ground set to its highest
+    lo, hi = rank[ground[0]], rank[ground[-1]]
+    chains = [[e] for e in ground if rank[e] == lo]
+    for _ in range(lo, hi):
+        chains = [c + [b] for c in chains for b in P._upper[c[-1]]]
+    cpx = SimplicialComplex([[labels[e] for e in c] for c in chains])
+    offset = lo - 1
     phi = {labels[e]: rank[e] - offset for e in ground}
     m = max(phi.values())
     coloring = Coloring(tuple(1 for _ in range(m)), phi)
@@ -281,31 +304,23 @@ def order_complex(P: GradedPoset, reduced: bool = True):
 
 def flag_vectors(P: GradedPoset) -> tuple[FlagVector, FlagVector]:
     """(flag f, flag h) of the reduced order complex: f_S counts chains whose
-    rank set is S, and h_S is its inclusion-exclusion transform."""
+    rank set is S, and h_S is its inclusion-exclusion transform.  Both are
+    fresh dicts read from the poset's chain table."""
+    _require_poset(P)
     P.validate()
-    rank = P.rank
-    d = P.total_rank - 1
-    counts: dict[frozenset, int] = {frozenset(S): 0 for k in range(d + 1)
-                                    for S in itertools.combinations(range(1, d + 1), k)}
-    ending: dict = {}  # e -> {rank set S: number of chains with ranks S topped by e}
-    for e in sorted(P.proper_part(), key=rank.__getitem__):
-        top_rank = frozenset({rank[e]})
-        own = {top_rank: 1}
-        for z in P.below[e]:
-            for S, n in ending.get(z, {}).items():
-                S |= top_rank
-                own[S] = own.get(S, 0) + n
-        ending[e] = own
-        for S, n in own.items():
-            counts[S] += n
-    counts[frozenset()] = 1
-    ff = FlagVector(d, counts, "f")
+    d, table = P.total_rank - 1, P._chain_table
+    ranks = range(1, d + 1)
+    ff = FlagVector(d, {
+        frozenset(S): table[sum(1 << (i - 1) for i in S)]
+        for k in range(max(d, 0) + 1) for S in itertools.combinations(ranks, k)
+    }, "f")
     return ff, flag_h_from_flag_f(ff)
 
 
 def reduced_order_complex_euler(P: GradedPoset) -> int:
     """Euler characteristic of the reduced order complex: mu(bottom, top) + 1 by
     Hall's theorem when bottom < top, and 0 for the one-element poset."""
+    _require_poset(P)
     P.validate()
     return P.mobius(P.bottom, P.top) + 1 if P.total_rank else 0
 
@@ -314,15 +329,8 @@ def reduced_order_complex_euler(P: GradedPoset) -> int:
 # toric h-vector
 
 
-def _poly_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_add(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+def _poly_sum(polys: list) -> list:
+    return [sum(c) for c in itertools.zip_longest(*polys, fillvalue=0)]
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -332,10 +340,6 @@ def _poly_mul(a: list, b: list) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def _x_minus_1_pow(k: int) -> list:
-    return [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
 
 
 @dataclass(frozen=True)
@@ -366,26 +370,30 @@ class ToricPolynomial:
 
 
 def _toric_tables(P: GradedPoset):
-    """th and g-hat coefficient lists for every interval [bottom, z]."""
+    """th and g-hat coefficient lists for every interval [bottom, z]:
+    th(z) = sum over ranks k < rank z of (x-1)^(rank z - 1 - k) times the sum
+    of g(w) over the elements w < z of rank k."""
+    _require_poset(P)
     P.validate()
-    rank = P.rank
-    order = sorted(P.elements, key=lambda e: (rank[e], repr(e)))
+    rank, d = P.rank, P.total_rank
+    x_minus_1 = [[(-1) ** (k - j) * comb(k, j) for j in range(k + 1)] for k in range(d)]
     g_memo: dict = {}
     th_memo: dict = {}
-    for z in order:
+    for z in sorted(P.elements, key=rank.__getitem__):
         r = rank[z]
         if r == 0:
             th_memo[z] = [1]
             g_memo[z] = [1]
             continue
-        th = []
-        for w in P.below[z] - {z}:
-            th = _poly_add(th, _poly_mul(g_memo[w], _x_minus_1_pow(r - 1 - rank[w])))
+        by_rank = P._below_by_rank(z, g_memo)
+        th = _poly_sum([_poly_mul(_poly_sum(gs), x_minus_1[r - 1 - k]) for k, gs in enumerate(by_rank) if gs])
         th = th + [0] * (r - len(th))  # degree r-1 with explicit zeros
         th_memo[z] = th
         m = (r - 1) // 2
         g = [th[0]] + [th[j] - th[j - 1] for j in range(1, m + 1)]
-        g_memo[z] = _poly_trim(g) or [0]
+        while g and not g[-1]:
+            g.pop()
+        g_memo[z] = g or [0]
     return th_memo, g_memo
 
 
@@ -424,22 +432,22 @@ def toric_ds_defect(P: GradedPoset) -> tuple:
 # generalized Dehn-Sommerville relations for flag f-vectors
 
 
-def _bb_instances(flag_f: dict, d: int) -> list:
-    def f(S):
-        return flag_f[frozenset(S)]
-
+def _bb_instances(table: list, d: int) -> list:
+    """The instances for a poset of rank d, read from a chain table (rank
+    sets as bitmasks, rank i is bit i - 1)."""
     out = []
-    universe = list(range(1, d))
-    for r in range(len(universe) + 1):
+    universe = range(1, d)
+    for r in range(d):
         for S in itertools.combinations(universe, r):
-            anchors = sorted(set(S) | {0, d})
+            mask = sum(1 << (s - 1) for s in S)
+            anchors = (0, *S, d)
             for i, k in zip(anchors, anchors[1:]):
                 if k - i < 2:
                     continue
                 lhs = sum(
-                    (-1) ** (j - i - 1) * f(set(S) | {j}) for j in range(i + 1, k)
+                    (-1) ** (j - i - 1) * table[mask | 1 << (j - 1)] for j in range(i + 1, k)
                 )
-                rhs = f(S) * (1 - (-1) ** (k - i - 1))
+                rhs = table[mask] * (1 - (-1) ** (k - i - 1))
                 out.append(
                     {"S": tuple(S), "i": i, "k": k, "lhs": lhs, "rhs": rhs, "defect": lhs - rhs}
                 )
@@ -454,10 +462,9 @@ def bayer_billera_defects(P: GradedPoset) -> list:
     give all zeros; an even-rank semi-Eulerian poset fails exactly the Euler
     instance (S empty) with defect chi(reduced order complex) - chi(S^{d-2}).
     """
+    _require_poset(P)
     P.validate()
-    d = P.total_rank
-    ff, _ = flag_vectors(P)
-    return _bb_instances(ff.entries, d)
+    return _bb_instances(P._chain_table, P.total_rank)
 
 
 def semi_eulerian_correction(P: GradedPoset) -> FlagVector:
@@ -473,8 +480,8 @@ def semi_eulerian_correction(P: GradedPoset) -> FlagVector:
     if d % 2 == 0 and cls == "SemiEulerian":
         X = reduced_order_complex_euler(P) - sphere_euler(d - 2)
         entries[frozenset({d - 1})] = X
-        ff, _ = flag_vectors(P)
-        corrected = {S: v - entries[S] for S, v in ff.entries.items()}
+        corrected = list(P._chain_table)
+        corrected[1 << (d - 2)] -= X
         for rec in _bb_instances(corrected, d):
             if rec["defect"] != 0:
                 raise NotSemiEulerian(
@@ -503,6 +510,8 @@ class ABPolynomial:
 
 def ab_from_flag_h(fh: FlagVector) -> ABPolynomial:
     """Encode a flag h-vector as words: position i carries b when i is in S."""
+    if not isinstance(fh, FlagVector):
+        raise ArgumentOutOfRange(f"expected a FlagVector, got {type(fh).__name__}")
     if fh.kind != "h":
         raise NotInCDSpan("expected a flag h-vector")
     d = fh.d
@@ -555,54 +564,58 @@ class CDIndex:
         return {w: c for w, c in sorted(self.coeffs.items()) if c}
 
 
-def cd_index(ab: ABPolynomial) -> CDIndex:
-    """Write an ab-polynomial in the cd-monomial basis by exact linear solve.
+def _peel(vec: list, n: int, suffix: str, out: dict) -> bool:
+    """Write vec, the coefficients of the ab-words of degree n (bit n - i set
+    when letter i is b), as A c + B d and recurse; out[w + suffix] receives
+    the coefficient of each cd-word w.  Returns whether vec is in the span.
+    The words ending in a give A + B b and those ending in b give A + B a."""
+    if n < 2:
+        out["c" * n + suffix] = vec[0]
+        return n == 0 or vec[0] == vec[1]
+    on_a, on_b = vec[0::2], vec[1::2]
+    diff = list(map(sub, on_a, on_b))
+    b_part = [-x for x in diff[0::2]]
+    on_a[1::2] = map(sub, on_a[1::2], b_part)
+    in_span = diff[1::2] == b_part
+    in_span &= _peel(on_a, n - 1, "c" + suffix, out)
+    return _peel(b_part, n - 2, "d" + suffix, out) & in_span
 
-    The cd-monomials are linearly independent; when the input lies outside
-    their span (a non-Eulerian flag h), NotInCDSpan is raised carrying a
-    certified residual: input minus the combination fitted on the pivot
-    coordinates of the elimination.
+
+def cd_index(ab: ABPolynomial) -> CDIndex:
+    """Write an ab-polynomial in the cd-monomial basis by peeling its last
+    letter, Psi = A c + B d, then the last letters of A and B, in O(n 2^n)
+    integer operations.
+
+    When the input lies outside the cd span (a non-Eulerian flag h),
+    NotInCDSpan is raised carrying the peeled coefficients as ``partial`` and
+    a certified ``residual``: the input minus the expansion of ``partial``.
+    An argument that is not an ABPolynomial, a degree that is not an int
+    >= 0, a key that is not an ab-word of the degree and a coefficient that
+    is not an int raise ArgumentOutOfRange.
     """
+    if not isinstance(ab, ABPolynomial) or not isinstance(ab.coeffs, dict):
+        raise ArgumentOutOfRange(f"expected an ABPolynomial with dict coefficients, got {type(ab).__name__}")
     n = ab.degree
-    words = cd_words(n)
-    ab_words = ["".join(t) for t in itertools.product("ab", repeat=n)] if n else [""]
-    columns = [expand_cd_word(w) for w in words]
-    # rows: one equation per ab-word
-    rows = [[Fraction(col.get(abw, 0)) for col in columns] + [Fraction(ab[abw])] for abw in ab_words]
-    ncols = len(words)
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivot_of_col[c] = r
-        r += 1
-    solution = [Fraction(0)] * ncols
-    for c, pr in pivot_of_col.items():
-        solution[c] = rows[pr][ncols]
-    inconsistent = any(all(x == 0 for x in row[:ncols]) and row[ncols] != 0 for row in rows)
-    coeffs = {w: int(v) if v.denominator == 1 else v for w, v in zip(words, solution)}
-    if inconsistent:
-        fitted = CDIndex(n, coeffs).expand()
-        residual = ABPolynomial(n, {w: ab[w] - fitted[w] for w in ab_words})
+    if type(n) is not int or n < 0:
+        raise ArgumentOutOfRange(f"an ab-polynomial needs an int degree >= 0, got {n!r}")
+    vec = [0] * (1 << n)
+    for w, c in ab.coeffs.items():
+        if not isinstance(w, str) or len(w) != n or w.strip("ab"):
+            raise ArgumentOutOfRange(f"{w!r} is not an ab-word of degree {n}")
+        if type(c) is not int:
+            raise ArgumentOutOfRange(f"coefficient {c!r} of {w!r} is not an int")
+        vec[int(w.replace("a", "0").replace("b", "1"), 2) if n else 0] = c
+    out: dict = {}
+    in_span = _peel(vec, n, "", out)
+    cd = CDIndex(n, dict(sorted(out.items())))
+    if not in_span:
+        fitted = cd.expand()
         raise NotInCDSpan(
             "ab-polynomial is not a cd-polynomial (expected for non-Eulerian input)",
-            residual=residual,
-            partial=CDIndex(n, coeffs),
+            residual=ABPolynomial(n, {w: ab[w] - c for w, c in fitted.coeffs.items()}),
+            partial=cd,
         )
-    return CDIndex(n, coeffs)
+    return cd
 
 
 def boolean_lattice(d: int) -> GradedPoset:

@@ -5,6 +5,7 @@ proven violation on closed surfaces or the circle."""
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -140,6 +141,65 @@ def test_cd_index_of_a_rank_zero_poset_is_out_of_range():
     with pytest.raises(ArgumentOutOfRange):
         fe.cd_index(fe.ab_from_flag_h(fh))
     assert cd_words(0) == [""] and cd_words(1) == ["c"]
+
+
+@pytest.mark.parametrize("ab", [
+    fe.ABPolynomial(2, {"a": 1}),  # a word of another degree
+    fe.ABPolynomial(2, {"ab": 1, "abb": 1}),
+    fe.ABPolynomial(2, {"ac": 1}),  # a letter other than a and b
+    fe.ABPolynomial(2, {"AB": 1}),
+    fe.ABPolynomial(1, {5: 1}),  # a key that is no string
+    fe.ABPolynomial(0, {"a": 1}),
+    fe.ABPolynomial(-1, {}),  # a negative degree
+    fe.ABPolynomial(-2, {"": 1}),
+    fe.ABPolynomial(1.0, {"a": 1, "b": 1}),  # a degree that is no int
+    fe.ABPolynomial("2", {}),
+    fe.ABPolynomial(None, {}),
+    fe.ABPolynomial(True, {"a": 1, "b": 1}),
+    fe.ABPolynomial(1, {"a": 0.5, "b": 0.5}),  # a coefficient that is no int
+    fe.ABPolynomial(1, {"a": Fraction(1, 2), "b": Fraction(1, 2)}),
+    fe.ABPolynomial(1, {"a": "1", "b": "1"}),
+    fe.ABPolynomial(1, {"a": None}),
+    fe.ABPolynomial(1, {"a": True, "b": True}),
+    fe.ABPolynomial(2, [("ab", 1)]),  # coefficients that are no dict
+    fe.CDIndex(2, {"d": 1}),  # arguments that are no ABPolynomial
+    {"ab": 1, "ba": 1},
+    None,
+    "ab",
+])
+def test_cd_index_rejects_what_is_no_ab_polynomial(ab):
+    with pytest.raises(ArgumentOutOfRange):
+        fe.cd_index(ab)
+
+
+def test_cd_index_reads_missing_words_as_zero():
+    assert fe.cd_index(fe.ABPolynomial(2, {"ab": 1, "ba": 1})).coeffs == {"cc": 0, "d": 1}
+    assert fe.cd_index(fe.ABPolynomial(3, {})).nonzero() == {}
+    assert fe.cd_index(fe.ABPolynomial(0, {"": -4})).coeffs == {"": -4}
+
+
+NOT_A_POSET = {
+    "none": None, "str": "B3", "int": 3, "function": fe.boolean_lattice, "complex": CIRCLE,
+    "ab": fe.ABPolynomial(1, {"a": 1, "b": 1}),
+}
+
+
+@pytest.mark.parametrize("call", [
+    fe.flag_vectors, fe.toric_h, fe.toric_g, fe.bayer_billera_defects, fe.classify_poset,
+    fe.semi_eulerian_correction, fe.toric_ds_defect, fe.order_complex,
+], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("arg", list(NOT_A_POSET))
+def test_poset_invariants_reject_what_is_no_graded_poset(call, arg):
+    with pytest.raises(ArgumentOutOfRange):
+        call(NOT_A_POSET[arg])
+
+
+@pytest.mark.parametrize("arg", [
+    *NOT_A_POSET.values(), {frozenset(): 1}, fe.CDIndex(0, {"": 1}), fe.boolean_lattice(2),
+])
+def test_ab_from_flag_h_rejects_what_is_no_flag_vector(arg):
+    with pytest.raises(ArgumentOutOfRange):
+        fe.ab_from_flag_h(arg)
 
 
 def test_cli_cd_of_a_rank_zero_poset_exits_2(tmp_path, capsys):

@@ -1,27 +1,56 @@
-"""Differential tests of the poset invariants against the chain enumeration
-they replaced.
+"""Differential tests of the poset invariants against the slow paths they
+replaced.
 
-The library computes flag vectors by a dynamic program over ranks, the Mobius
-function one row per element and the order complex's Euler characteristic by
-Hall's theorem.  The oracles below keep the earlier slow paths: one count per
-listed chain, the pairwise recursion over interval sets, and the alternating
-sum over chains.  Inputs are Boolean lattices, catalog posets, face posets of
-closed manifolds and seeded random ranked posets, including invalid ones.
+The library computes flag vectors from one chain table per poset, the Mobius
+function one row per element with each value summed over its interval, the
+order complex's Euler characteristic by Hall's theorem, the toric recursion
+rank by rank and the cd-index by peeling the last letter.  The oracles below
+keep the earlier slow paths: one count per listed chain, the pairwise
+recursion over interval sets, the Mobius row that scans every element below,
+the alternating sum over chains, the toric recursion one element at a time
+and the exact Gauss-Jordan solve for the cd-index.  Inputs are Boolean
+lattices, catalog posets, face posets of closed manifolds, seeded random
+ranked posets, including invalid ones, and random ab-polynomials.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
 import faceenum as fe
-from faceenum.errors import FaceEnumError, InvalidPoset, NotComparable
-from faceenum.posets import _all_chains, reduced_order_complex_euler
+from faceenum.errors import (
+    ArgumentOutOfRange, FaceEnumError, InvalidPoset, NotComparable, NotInCDSpan,
+)
+from faceenum.posets import (
+    ABPolynomial, CDIndex, _toric_tables, cd_words, expand_cd_word, reduced_order_complex_euler,
+)
 from faceenum.vectors import FlagVector, flag_h_from_flag_f
 
 # -- oracles: the chain-enumerating and pairwise paths -------------------------
+
+
+def _all_chains(P, ground: list) -> list:
+    """All nonempty chains inside the given ground set, as tuples ordered by rank."""
+    rank = P.rank
+    ground = sorted(ground, key=lambda e: (rank[e], repr(e)))
+    succ = {e: [f for f in ground if f != e and P.leq(e, f)] for e in ground}
+    chains = []
+
+    def extend(chain, last):
+        chains.append(tuple(chain))
+        for f in succ[last]:
+            chain.append(f)
+            extend(chain, f)
+            chain.pop()
+
+    for e in ground:
+        extend([e], e)
+    return chains
 
 
 def old_flag_f(P) -> FlagVector:
@@ -58,10 +87,106 @@ def old_euler(P) -> int:
     return sum((-1) ** (len(c) - 1) for c in _all_chains(P, P.proper_part()))
 
 
+def old_mobius_row(P, x) -> dict:
+    """mu(x, y) for every y >= x, each value summed over all of below[y]."""
+    below, up, stack = P.below, {x}, [x]
+    while stack:
+        for b in P._upper[stack.pop()]:
+            if b not in up:
+                up.add(b)
+                stack.append(b)
+    row = {x: 1}
+    for y in sorted(up - {x}, key=lambda e: len(below[e])):
+        row[y] = -sum(row[z] for z in below[y] if z in row)
+    return row
+
+
+def old_toric_tables(P):
+    """The toric recursion one element at a time: th(z) adds g(w) (x-1)^(r-1-k)
+    for each w < z of rank k, multiplying once per element."""
+    P.validate()
+    rank = P.rank
+
+    def add(a, b):
+        return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(max(len(a), len(b)))]
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    g_memo, th_memo = {}, {}
+    for z in sorted(P.elements, key=lambda e: (rank[e], repr(e))):
+        r = rank[z]
+        if r == 0:
+            th_memo[z] = g_memo[z] = [1]
+            continue
+        th = []
+        for w in P.below[z] - {z}:
+            k = r - 1 - rank[w]
+            th = add(th, mul(g_memo[w], [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]))
+        th = th + [0] * (r - len(th))
+        th_memo[z] = th
+        g = [th[0]] + [th[j] - th[j - 1] for j in range(1, (r - 1) // 2 + 1)]
+        while g and g[-1] == 0:
+            g.pop()
+        g_memo[z] = g or [0]
+    return th_memo, g_memo
+
+
+def old_cd_index(ab: ABPolynomial) -> CDIndex:
+    """The exact Gauss-Jordan solve over all 2^n ab-words.  Off the cd span it
+    raises NotInCDSpan with the solution fitted on the pivot rows."""
+    n = ab.degree
+    words = cd_words(n)
+    ab_words = ["".join(t) for t in itertools.product("ab", repeat=n)] if n else [""]
+    columns = [expand_cd_word(w) for w in words]
+    rows = [[Fraction(col.get(abw, 0)) for col in columns] + [Fraction(ab[abw])] for abw in ab_words]
+    ncols = len(words)
+    pivot_of_col: dict[int, int] = {}
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot_of_col[c] = r
+        r += 1
+    solution = [Fraction(0)] * ncols
+    for c, pr in pivot_of_col.items():
+        solution[c] = rows[pr][ncols]
+    inconsistent = any(all(x == 0 for x in row[:ncols]) and row[ncols] != 0 for row in rows)
+    coeffs = {w: int(v) if v.denominator == 1 else v for w, v in zip(words, solution)}
+    if inconsistent:
+        fitted = CDIndex(n, coeffs).expand()
+        residual = ABPolynomial(n, {w: ab[w] - fitted[w] for w in ab_words})
+        raise NotInCDSpan("not a cd-polynomial", residual=residual, partial=CDIndex(n, coeffs))
+    return CDIndex(n, coeffs)
+
+
 def outcome(f, *args):
     """The value of f(*args), or the type of the library error it raised."""
     try:
         return f(*args)
+    except FaceEnumError as e:
+        return type(e)
+
+
+def cd_outcome(f, ab):
+    """("cd", coefficients), ("not", partial, residual) off the cd span, or the
+    type of any other library error."""
+    try:
+        return "cd", f(ab).coeffs
+    except NotInCDSpan as e:
+        return "not", e.partial.coeffs, e.residual.coeffs
     except FaceEnumError as e:
         return type(e)
 
@@ -156,3 +281,92 @@ def test_cyclic_covers_fail_alike():
     assert outcome(reduced_order_complex_euler, P) is outcome(old_euler, P) is InvalidPoset
     assert outcome(fe.mobius, P, "0", "1") is outcome(old_mobius, P, "0", "1", {}) is InvalidPoset
     assert fe.classify_poset(P) == old_classify(P) == "Neither"
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_mobius_rows_match_the_full_scan(name):
+    P = INPUTS[name]()
+    for x in P.elements:
+        assert outcome(P._mobius_row, x) == outcome(old_mobius_row, P, x)
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_toric_tables_match_the_per_element_recursion(name):
+    P = INPUTS[name]()
+    assert outcome(_toric_tables, P) == outcome(old_toric_tables, P)
+
+
+def assert_same_cd(ab):
+    got, want = cd_outcome(fe.cd_index, ab), cd_outcome(old_cd_index, ab)
+    if got != want:  # both off the span, fitted on different coordinates
+        assert got[0] == want[0] == "not", (got, want)
+    if isinstance(got, tuple) and got[0] == "not":
+        partial = CDIndex(ab.degree, got[1]).expand()
+        assert got[2] == {w: ab[w] - c for w, c in partial.coeffs.items()}
+    return got
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_cd_index_matches_the_elimination_on_flag_h(name):
+    P = INPUTS[name]()
+    if not P.is_valid_graded():
+        return
+    ab = fe.ab_from_flag_h(fe.flag_vectors(P)[1])
+    got = cd_outcome(fe.cd_index, ab)
+    assert got == cd_outcome(old_cd_index, ab)  # partial and residual too
+    if name == "B0":  # degree -1
+        assert got is ArgumentOutOfRange
+    elif fe.classify_poset(P) == "Eulerian":
+        assert got[0] == "cd"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cd_index_matches_the_elimination_on_random_ab_polynomials(seed):
+    rng = random.Random(seed)
+    n = seed % 8
+    cd = CDIndex(n, {w: rng.randint(-9, 9) for w in cd_words(n)})
+    ab = cd.expand()
+    assert cd_outcome(fe.cd_index, ab) == ("cd", cd.coeffs) == cd_outcome(old_cd_index, ab)
+    for _ in range(3):  # perturbed: almost always off the span
+        coeffs = dict(ab.coeffs)
+        for w in rng.sample(sorted(coeffs), rng.randint(1, min(3, len(coeffs)))):
+            coeffs[w] += rng.choice([-3, -1, 1, 2])
+        assert_same_cd(ABPolynomial(n, coeffs))
+        assert_same_cd(ABPolynomial(n, {w: c for w, c in coeffs.items() if rng.random() < 0.7}))
+
+
+def test_flag_vectors_are_fresh_dicts_over_one_chain_table():
+    P = fe.face_poset(fe.catalog("cp2_9").payload)
+    ff, fh = fe.flag_vectors(P)
+    want_ff, want_bb = dict(ff.entries), fe.bayer_billera_defects(P)
+    ff.entries[frozenset()] = 99
+    ff.entries[frozenset({2})] += 7
+    fh.entries.clear()
+    assert fe.bayer_billera_defects(P) == want_bb
+    assert fe.flag_vectors(P)[0].entries == want_ff
+    assert fe.flag_vectors(P)[1] == flag_h_from_flag_f(fe.flag_vectors(P)[0])
+
+
+@pytest.mark.parametrize("name", [n for n in INPUTS if n not in ("B7", "B8")])
+def test_order_complex_facets_are_the_maximal_chains(name):
+    P = INPUTS[name]()
+    if not P.is_valid_graded() or P.total_rank < 2:
+        return
+    K, _, labels = fe.order_complex(P)
+    chains = _all_chains(P, P.proper_part())
+    longest = max(map(len, chains))
+    assert K == fe.SimplicialComplex([[labels[e] for e in c] for c in chains if len(c) == longest])
+
+
+# Euler zigzag numbers E_n: the cd-index of B_n summed at c = d = 1
+ZIGZAG = (1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_boolean_cd_index_sums_to_the_zigzag_number(n):
+    ab = fe.ab_from_flag_h(fe.flag_vectors(fe.boolean_lattice(n))[1])
+    cd = fe.cd_index(ab)
+    assert cd.degree == n - 1 and cd["c" * (n - 1)] == 1
+    assert all(c >= 0 for c in cd.coeffs.values())
+    assert sum(cd.coeffs.values()) == ZIGZAG[n - 1]
+    assert cd.expand() == ab
