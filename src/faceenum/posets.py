@@ -2,8 +2,10 @@
 semi-Eulerian classification, flag vectors, the toric h/g recursion, the
 ab-polynomial encoding of flag h-vectors, and the cd-index.
 
-Every invariant is an exact integer recursion; only :func:`order_complex`
-lists chains.  Flag f-vectors come from one chain table per poset, a dynamic
+Every invariant is an exact integer recursion or count; only
+:func:`order_complex` lists chains.  Classification counts the elements of
+even and odd rank in every interval, read off bitmasks, and computes no
+Mobius value.  Flag f-vectors come from one chain table per poset, a dynamic
 program over ranks.  The Mobius function comes one row mu(x, .) per element,
 and the order complex's Euler characteristic is mu(bottom, top) + 1 by Hall's
 theorem.  The toric recursion sums the g-polynomials below an element rank by
@@ -228,20 +230,51 @@ def _require_poset(P) -> None:
 
 
 def classify_poset(P: GradedPoset) -> str:
-    """"Eulerian", "SemiEulerian" or "Neither" by the Mobius sign rule."""
+    """"Eulerian", "SemiEulerian" or "Neither" by rank parity.
+
+    An interval [x, y] of length >= 1 whose proper subintervals are Eulerian
+    has mu(x, y) = (-1)^(r(y) - r(x)) iff it has as many elements of even rank
+    as of odd rank (Stanley, EC1, Ex. 3.16).  By induction on length, P is
+    semi-Eulerian iff every interval but [bottom, top] balances, and Eulerian
+    iff [bottom, top] balances too.  Intervals are read off bitmasks over the
+    elements numbered in rank order; no Mobius value is computed.
+    """
     _require_poset(P)
     try:
         P.validate()
     except InvalidPoset:
         return "Neither"
-    rank, bottom, top = P.rank, P.bottom, P.top
-    for x in P.elements:
-        for y, m in P._mobius_row(x).items():
-            if (x, y) != (bottom, top) and m != (-1) ** (rank[y] - rank[x]):
-                return "Neither"
-    if P.mobius(bottom, top) == (-1) ** P.total_rank:
+    if P.total_rank == 0:  # a single element: no interval of length >= 1
         return "Eulerian"
-    return "SemiEulerian"
+    rank = P.rank
+    order = sorted(P.elements, key=rank.__getitem__)
+    index = {e: i for i, e in enumerate(order)}
+    below, even = [], 0  # below[i]: elements <= order[i]; even: those of even rank
+    for i, e in enumerate(order):
+        m = 1 << i
+        for a in P._lower[e]:
+            m |= below[index[a]]
+        below.append(m)
+        if not rank[e] & 1:
+            even |= 1 << i
+    up = [0] * len(order)  # up[i]: elements >= order[i]
+    for i in reversed(range(len(order))):
+        m = 1 << i
+        for b in P._upper[order[i]]:
+            m |= up[index[b]]
+        up[i] = m
+    bottom, top = index[P.bottom], index[P.top]
+    for x, ux in enumerate(up):
+        rest = (ux >> x) ^ 1  # the y > x, as bit y - x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            y = x + low.bit_length() - 1
+            interval = ux & below[y]
+            if 2 * (interval & even).bit_count() != interval.bit_count() and (x, y) != (bottom, top):
+                return "Neither"
+    whole = below[top]
+    return "Eulerian" if 2 * (whole & even).bit_count() == whole.bit_count() else "SemiEulerian"
 
 
 def mobius(P: GradedPoset, x, y) -> int:
@@ -259,6 +292,8 @@ def face_poset(K: SimplicialComplex, augment: bool = True) -> GradedPoset:
     With ``augment`` a fresh top is adjoined when the complex has more than
     one facet; a complex with a unique facet is already bounded above.
     """
+    if not isinstance(K, SimplicialComplex):
+        raise ArgumentOutOfRange(f"expected a SimplicialComplex, got {type(K).__name__}")
     faces = sorted(K.faces(), key=lambda f: (len(f), face_key(f)))
     covers = []
     for f in faces:
@@ -619,7 +654,9 @@ def cd_index(ab: ABPolynomial) -> CDIndex:
 
 
 def boolean_lattice(d: int) -> GradedPoset:
-    """B_d: subsets of {1..d} ordered by inclusion."""
+    """B_d: subsets of {1..d} ordered by inclusion, for an int d >= 0."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise ArgumentOutOfRange(f"boolean_lattice needs an int d >= 0, got {d!r}")
     elements = [frozenset(s) for k in range(d + 1) for s in itertools.combinations(range(1, d + 1), k)]
     covers = []
     for e in elements:

@@ -195,6 +195,31 @@ def test_poset_invariants_reject_what_is_no_graded_poset(call, arg):
 
 
 @pytest.mark.parametrize("arg", [
+    None, [[1, 2], [2, 3], [1, 3]], "B3", fe.boolean_lattice(2),
+], ids=["none", "facet-list", "str", "poset"])
+def test_face_poset_rejects_what_is_no_complex(arg):
+    with pytest.raises(ArgumentOutOfRange):
+        fe.face_poset(arg)
+
+
+def test_face_poset_rejects_the_bipyramid_payload(bipyramid):
+    with pytest.raises(ArgumentOutOfRange):  # a (complex, coloring) pair
+        fe.face_poset(bipyramid)
+    assert fe.classify_poset(fe.face_poset(bipyramid[0])) == "Eulerian"
+
+
+@pytest.mark.parametrize("d", ["3", 2.0, -1, True, False, None])
+def test_boolean_lattice_takes_only_an_int_d_at_least_0(d):
+    with pytest.raises(ArgumentOutOfRange):
+        fe.boolean_lattice(d)
+
+
+def test_boolean_lattice_of_rank_0_is_one_element():
+    P = fe.boolean_lattice(0)
+    assert P.elements == (frozenset(),) and P.total_rank == 0
+
+
+@pytest.mark.parametrize("arg", [
     *NOT_A_POSET.values(), {frozenset(): 1}, fe.CDIndex(0, {"": 1}), fe.boolean_lattice(2),
 ])
 def test_ab_from_flag_h_rejects_what_is_no_flag_vector(arg):

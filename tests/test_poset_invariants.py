@@ -3,14 +3,16 @@ replaced.
 
 The library computes flag vectors from one chain table per poset, the Mobius
 function one row per element with each value summed over its interval, the
-order complex's Euler characteristic by Hall's theorem, the toric recursion
-rank by rank and the cd-index by peeling the last letter.  The oracles below
-keep the earlier slow paths: one count per listed chain, the pairwise
-recursion over interval sets, the Mobius row that scans every element below,
-the alternating sum over chains, the toric recursion one element at a time
-and the exact Gauss-Jordan solve for the cd-index.  Inputs are Boolean
-lattices, catalog posets, face posets of closed manifolds, seeded random
-ranked posets, including invalid ones, and random ab-polynomials.
+classification by counting even and odd ranks in each interval, the order
+complex's Euler characteristic by Hall's theorem, the toric recursion rank by
+rank and the cd-index by peeling the last letter.  The oracles below keep the
+earlier slow paths: one count per listed chain, the pairwise recursion over
+interval sets, the Mobius sign rule on every interval, the Mobius row that
+scans every element below, the alternating sum over chains, the toric
+recursion one element at a time and the exact Gauss-Jordan solve for the
+cd-index.  Inputs are Boolean lattices, catalog posets, face posets of closed
+manifolds and of random pure complexes, seeded random ranked posets,
+including invalid ones, and random ab-polynomials.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faceenum as fe
+from conftest import rp2_six
 from faceenum.errors import (
     ArgumentOutOfRange, FaceEnumError, InvalidPoset, NotComparable, NotInCDSpan,
 )
@@ -231,11 +236,19 @@ def random_poset(seed: int) -> fe.GradedPoset:
     return fe.GradedPoset(elements, sorted(covers))
 
 
+def _wedge_of_3_spheres() -> fe.SimplicialComplex:
+    """Two stacked 3-spheres glued at the vertex 1; the link of 1 is two 2-spheres."""
+    S = fe.stacked_sphere(6, 4)
+    return fe.SimplicialComplex(list(S.facets) + [[v if v == 1 else v + 10 for v in f] for f in S.facets])
+
+
 INPUTS = {f"B{d}": (lambda d=d: fe.boolean_lattice(d)) for d in range(9)}
 INPUTS["torus_poset"] = lambda: fe.catalog("torus_poset").payload
 INPUTS["cp2_9"] = lambda: fe.face_poset(fe.catalog("cp2_9").payload)
 INPUTS["s2xs2_sum"] = lambda: fe.face_poset(fe.catalog("s2xs2_sum").payload)
 INPUTS["kl_11_2"] = lambda: fe.face_poset(fe.kuhnel_lassmann(11, 2))
+INPUTS["rp2"] = lambda: fe.face_poset(rp2_six())
+INPUTS["wedge_of_3_spheres"] = lambda: fe.face_poset(_wedge_of_3_spheres())
 INPUTS.update({f"random{s}": (lambda s=s: random_poset(s)) for s in range(60)})
 
 
@@ -370,3 +383,57 @@ def test_boolean_cd_index_sums_to_the_zigzag_number(n):
     assert all(c >= 0 for c in cd.coeffs.values())
     assert sum(cd.coeffs.values()) == ZIGZAG[n - 1]
     assert cd.expand() == ab
+
+
+# -- classification by rank parity ----------------------------------------------
+
+
+EDGE_CASES = {
+    "B0": "Eulerian",  # one element, no interval of length >= 1
+    "wedge_of_3_spheres": "Neither",
+    "rp2": "SemiEulerian",  # chi = 1
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_CASES))
+def test_classification_of_edge_cases_matches_the_sign_rule(name):
+    P, want = INPUTS[name](), EDGE_CASES[name]
+    assert fe.classify_poset(P) == old_classify(P) == want
+
+
+def test_only_the_wedge_point_breaks_the_sign_rule():
+    P, memo = INPUTS["wedge_of_3_spheres"](), {}
+    rank = P.rank
+    bad = [(x, y) for y in P.elements for x in P.below[y] if (x, y) != (P.bottom, P.top)
+           and old_mobius(P, x, y, memo) != (-1) ** (rank[y] - rank[x])]
+    assert bad == [((1,), P.top)]
+    assert rank[P.top] - rank[(1,)] == 4
+    assert reduced_order_complex_euler(P) == -1 != fe.sphere_euler(3)
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_classification_builds_no_mobius_row(name):
+    P = INPUTS[name]()
+    fe.classify_poset(P)
+    assert P._mobius_cache == {}
+
+
+@st.composite
+def pure_complexes(draw):
+    """A random pure complex of dimension 1 to 3 with at least two facets,
+    or two disjoint copies of one (two 2-spheres are semi-Eulerian only)."""
+    size = draw(st.integers(2, 4))
+    n = draw(st.integers(size + 1, size + 4))
+    pool = list(itertools.combinations(range(1, n + 1), size))
+    facets = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=14, unique=True))
+    if draw(st.booleans()):
+        facets += [[v + n for v in f] for f in facets]
+    return fe.SimplicialComplex(facets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pure_complexes())
+def test_face_poset_classification_matches_the_complex(K):
+    cls = fe.classify_poset(fe.face_poset(K))
+    assert (cls == "Eulerian") == fe.is_eulerian(K)
+    assert (cls != "Neither") == fe.is_semi_eulerian(K)
