@@ -10,6 +10,7 @@ reported but never counts as a proven violation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -27,6 +28,7 @@ from .homology import (
     manifold_report,
 )
 from .vectors import (
+    FVector,
     G_invariant,
     HVector,
     ds_defect_h,
@@ -355,6 +357,12 @@ def _check_stacked_lower_bounds(ctx: _Context) -> AuditCheck:
     return AuditCheck("stacked_lower_bounds", ref, HOLDS, lhs=worst[0], rhs=worst[1])
 
 
+@functools.cache
+def _min_first_betti_reference(d: int) -> FVector:
+    """f-vector of Kuhnel's cyclic reference complex on 2d + 1 vertices."""
+    return f_vector(kuhnel_lassmann(2 * d + 1, (d - 1) // 2))
+
+
 def _check_min_first_betti(ctx: _Context) -> AuditCheck:
     ref = "minimal triangulation bound for beta_1 > 0 (Kuhnel's cyclic complexes)"
     d = ctx.K.d
@@ -365,8 +373,7 @@ def _check_min_first_betti(ctx: _Context) -> AuditCheck:
     if d % 2 == 0 or d < 5:
         return AuditCheck("min_first_betti", ref, INAPPLICABLE,
                           notes="reference complex generated only for odd d >= 5")
-    M = kuhnel_lassmann(2 * d + 1, (d - 1) // 2)
-    fm = f_vector(M)
+    fm = _min_first_betti_reference(d)
     for i in range(0, d):
         if ctx.f[i + 1] < fm[i]:
             return AuditCheck("min_first_betti", ref, VIOLATED, lhs=fm[i], rhs=ctx.f[i + 1],

@@ -11,6 +11,7 @@ conjecture advisories never fail the process.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -70,6 +71,9 @@ def _analyze_payload(K: SimplicialComplex, args) -> dict:
     field = _field(args)
     hv = h_vector(K)
     chi = euler_characteristic(K)
+    # manifold recognition needs a connected complex; run first, it caches the
+    # link census that the semi-Eulerian test then reads
+    rep = manifold_report(K, field) if K.is_connected() else None
     semi = is_semi_eulerian(K)
     payload = {
         "vertices": len(K.vertices),
@@ -84,10 +88,9 @@ def _analyze_payload(K: SimplicialComplex, args) -> dict:
         "semi_eulerian": semi,
         "eulerian": semi and chi == sphere_euler(K.dim),
         "ds_defect": list(ds_defect(K)),
-        "manifold": None,  # manifold recognition needs a connected complex
+        "manifold": None,
     }
-    if K.is_connected():
-        rep = manifold_report(K, field)
+    if rep is not None:
         payload["manifold"] = {
             "is_homology_manifold": rep.is_homology_manifold,
             "boundary_facets": [list(f) for f in rep.boundary.facets] if rep.boundary else [],
@@ -244,7 +247,11 @@ def _add_common(p, field: bool = False):
         p.add_argument("--field", choices=["q", "gf2"], default="q")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It names each command's
+    handler only by the command, so ``main`` looks the handler up when it
+    dispatches and sees a handler replaced after the parser was built."""
     ap = argparse.ArgumentParser(prog="faceenum", description="face enumeration toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -252,14 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--coloring", help="JSON file with type_vector and phi for fine vectors")
     _add_common(p, field=True)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("audit", help="inequality battery; exit 1 on proven violation")
     p.add_argument("path")
     p.add_argument("--assert-beta1-positive", action="store_true")
     p.add_argument("--assert-subgroup-index", type=int, default=None)
     _add_common(p, field=True)
-    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("generate", help="construct complexes and move logs")
     gsub = p.add_subparsers(dest="kind", required=True)
@@ -284,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     for g in gsub.choices.values():
         g.add_argument("--out")
         _add_common(g)
-        g.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("move", help="apply one bistellar move")
     p.add_argument("--input", required=True)
@@ -292,20 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="comma-separated vertices of G")
     p.add_argument("--out")
     _add_common(p)
-    p.set_defaults(func=cmd_move)
 
     p = sub.add_parser("poset", help="toric / cd / flag / classify reports")
     p.add_argument("path")
     p.add_argument("--which", choices=["toric", "cd", "flag", "classify"], required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("replay", help="re-run a move log against a complex")
     p.add_argument("--input", required=True)
     p.add_argument("--log", required=True)
     p.add_argument("--out")
     _add_common(p)
-    p.set_defaults(func=cmd_replay)
     return ap
 
 
@@ -313,7 +314,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except FaceEnumError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -3,25 +3,31 @@ built on it: homology sphere/ball/manifold, orientability, Eulerian and
 semi-Eulerian complexes.
 
 Reduced Betti numbers are computed from ranks of augmented boundary matrices.
-Everything is exact: ranks over Q use integer-preserving sparse elimination
-(cross-multiplication with gcd normalization, no floating point), GF(2) uses
-bitmask rows, GF(p) uses sparse rows mod p.
+Everything is exact.  One pivot-indexed elimination serves every field: each
+row is reduced against the pivot registered for its leading column until it
+vanishes or becomes a new pivot.  Only the row arithmetic depends on the
+field: GF(2) rows are int bitmasks keyed by their lowest set bit, GF(p) rows
+are sparse dicts mod p with unit pivots, and rows over Q stay integral by
+cross-multiplication with gcd normalization (no floating point, no fractions).
 
 The sphere and manifold predicates share one link census per complex and
 field: a single walk over the nonempty faces that classifies each face's link
 once (sphere, ball or bad) and records whether it is connected.  The census is
-cached on the immutable complex; the Eulerian predicates need only face
-counts.  Links of links need no second walk, since lk_{lk rho}(sigma) =
-lk_K(rho u sigma): a link is a homology manifold without boundary exactly when
-every face strictly containing rho has a sphere link.
+cached on the immutable complex.  The Eulerian predicates need only face
+counts: they read a cached census when one has no bad row, and count
+otherwise; they never build one.  Links of links need no second walk, since
+lk_{lk rho}(sigma) = lk_K(rho u sigma): a link is a homology manifold without
+boundary exactly when every face strictly containing rho has a sphere link.
 
-Each link is decided in three steps: counted where it can be, else by a
-collapse certificate, else by ranks.  The walk goes from the largest faces
-down, so the rows above a face exist when it is classified.  A link of
-dimension <= 1 is a graph, and its Betti numbers are counts (components, and
-E - V + components).  A 2-dimensional link of a pure complex with no bad row
-above it is a surface, possibly with boundary; it is a sphere when closed with
-chi = 2, a ball when a disk (or RP^2 over a field of odd or zero
+Each link is decided in four steps: from its star size, else counted, else
+by a collapse certificate, else by ranks.  The walk goes from the largest
+faces down, so the rows above a face exist when it is classified.  In a pure
+complex no link of a facet or a ridge is built: a facet's link is S^-1, and a
+ridge in 1, 2 or more facets has a point, S^0 or a bad link.  Any other link
+of dimension <= 1 is a graph, and its Betti numbers are counts (components,
+and E - V + components).  A 2-dimensional link of a pure complex with no bad
+row above it is a surface, possibly with boundary; it is a sphere when closed
+with chi = 2, a ball when a disk (or RP^2 over a field of odd or zero
 characteristic), and bad otherwise.  Every other link is collapsed greedily.
 If it collapses to one vertex it is contractible, a ball.  If it does once
 one open facet F of dimension m = dim K - |rho| is removed, then by excision
@@ -91,43 +97,29 @@ def _require_field(field) -> None:
 # exact rank computation
 
 
-def _rank_gf2(rows: list[int]) -> int:
-    rank = 0
-    basis: list[int] = []
+def _eliminate(rows, lead, reduce, settle) -> int:
+    """Rank by pivot-indexed elimination (Dumas-Saunders-Villard, 2001): each
+    row is reduced against the pivot of its leading column until it vanishes
+    or leads in a column with no pivot, where ``settle`` makes it the pivot."""
+    pivots: dict = {}  # leading column -> pivot row
     for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        if row:
-            basis.append(row)
-            rank += 1
-    return rank
+        while row:
+            c = lead(row)
+            q = pivots.get(c)
+            if q is None:
+                pivots[c] = settle(row, c)
+                break
+            row = reduce(row, q, c)
+    return len(pivots)
 
 
-def _rank_gfp(rows: list[dict], p: int) -> int:
-    rank = 0
-    pivots: list[tuple[int, dict]] = []
-    for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p}
-        for c, prow in pivots:
-            if c in row:
-                f = row.pop(c)
-                for cc, vv in prow.items():
-                    if cc == c:
-                        continue
-                    nv = (row.get(cc, 0) - f * vv) % p
-                    if nv:
-                        row[cc] = nv
-                    elif cc in row:
-                        del row[cc]
-        if row:
-            c = min(row)
-            inv = pow(row[c], p - 2, p)
-            row = {cc: (vv * inv) % p for cc, vv in row.items()}
-            pivots.append((c, row))
-            rank += 1
-    return rank
+def _bits(row: dict) -> int:
+    """A row over GF(2) as an int bitmask of its odd entries."""
+    m = 0
+    for c, v in row.items():
+        if v & 1:
+            m |= 1 << c
+    return m
 
 
 def _gcd_normalize(row: dict) -> dict:
@@ -142,76 +134,64 @@ def _gcd_normalize(row: dict) -> dict:
     return row
 
 
-def _rank_exact_int(rows: list[dict]) -> int:
-    """Rank over Q of an integer sparse matrix, exactly and without division.
+def _reduce_int(row: dict, q: dict, c: int) -> dict:
+    """Clear column c of an integer row with the pivot row q, without
+    division: a unit pivot is subtracted, any other is cross-multiplied and
+    the row renormalized by its gcd, so entries stay integral.  Boundary
+    matrices almost always keep unit pivots."""
+    a = row.pop(c)
+    pv = q[c]
+    scaled = pv != 1 and pv != -1
+    if scaled:
+        g = gcd(a, pv)
+        s = pv // g
+        for k in row:
+            row[k] *= s
+        a //= g
+    else:
+        a *= pv
+    for k, v in q.items():
+        if k != c:
+            nv = row.get(k, 0) - a * v
+            if nv:
+                row[k] = nv
+            elif k in row:
+                del row[k]
+    return _gcd_normalize(row) if scaled else row
 
-    Each row is reduced against the registered pivot rows (one per leading
-    column); a nonzero remainder becomes a new pivot.  Elimination against a
-    non-unit pivot cross-multiplies and renormalizes by the gcd, so entries
-    stay integral; boundary matrices almost always keep unit pivots.
-    """
-    pivots: dict[int, dict] = {}  # leading column -> pivot row
-    rank = 0
-    for row in sorted((r for r in rows if r), key=len):
-        row = dict(row)
-        while row:
-            c = min(row)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = _gcd_normalize(row)
-                rank += 1
-                break
-            pv = p[c]
-            a = row.pop(c)
-            if pv == 1:
-                for k, v in p.items():
-                    if k == c:
-                        continue
-                    nv = row.get(k, 0) - a * v
-                    if nv:
-                        row[k] = nv
-                    elif k in row:
-                        del row[k]
-            elif pv == -1:
-                for k, v in p.items():
-                    if k == c:
-                        continue
-                    nv = row.get(k, 0) + a * v
-                    if nv:
-                        row[k] = nv
-                    elif k in row:
-                        del row[k]
-            else:
-                g = gcd(a, pv)
-                mr, mp = pv // g, a // g
-                for k in row:
-                    row[k] *= mr
-                for k, v in p.items():
-                    if k == c:
-                        continue
-                    nv = row.get(k, 0) - mp * v
-                    if nv:
-                        row[k] = nv
-                    elif k in row:
-                        del row[k]
-                _gcd_normalize(row)
-    return rank
+
+def _mod_arithmetic(p: int) -> tuple:
+    """(reduce, settle) for sparse rows mod p, with unit pivots."""
+
+    def reduce(row: dict, q: dict, c: int) -> dict:
+        a = row.pop(c)
+        for k, v in q.items():
+            if k != c:
+                nv = (row.get(k, 0) - a * v) % p
+                if nv:
+                    row[k] = nv
+                elif k in row:
+                    del row[k]
+        return row
+
+    def settle(row: dict, c: int) -> dict:
+        inv = pow(row[c], -1, p)
+        return {k: v * inv % p for k, v in row.items()}
+
+    return reduce, settle
 
 
 def matrix_rank(rows: list[dict], field: FieldSpec) -> int:
-    """Exact rank of a sparse integer matrix over the given field."""
-    if field.is_rationals:
-        return _rank_exact_int(rows)
-    if field.p == 2:
-        packed = []
-        for r in rows:
-            m = 0
-            for c, v in r.items():
-                if v % 2:
-                    m |= 1 << c
-            packed.append(m)
-        return _rank_gf2(packed)
-    return _rank_gfp(rows, field.p)
+    """Exact rank of a sparse integer matrix over the given field.  This
+    only chooses the row arithmetic for ``_eliminate``; shorter rows go first."""
+    rows = sorted((r for r in rows if r), key=len)
+    p = field.p
+    if p is None:
+        return _eliminate(map(dict, rows), min, _reduce_int, lambda row, c: _gcd_normalize(row))
+    if p == 2:
+        return _eliminate(map(_bits, rows), lambda m: m & -m, lambda m, q, c: m ^ q, lambda m, c: m)
+    reduce, settle = _mod_arithmetic(p)
+    return _eliminate(({c: v % p for c, v in r.items() if v % p} for r in rows), min, reduce, settle)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +319,15 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
     """The census walk.  Faces with at least dim K - 2 vertices are classified
     from the largest down, each from its star; smaller faces are ranked.
 
-    A link of dimension <= 1 is a graph, and its homology is counting.  When
-    K is pure and no row above rho is bad, the 2-dimensional link lk rho is a
-    surface, possibly with boundary: each of its edges lies in one or two
-    triangles (the ridge rows) and each vertex link is a path or a cycle.
-    Connectivity, chi and the boundary then decide it; only RP^2 depends on
-    the field.  Any other 2-dimensional link is ranked.
+    When K is pure, a facet or a ridge is classified by its star size alone,
+    with no link built: a facet's link is S^-1, and a ridge's link is one
+    point per facet on it, a ball for one point, S^0 for two and bad for
+    more.  Any other link of dimension <= 1 is a graph, and its homology is
+    counting.  When K is pure and no row above rho is bad, the 2-dimensional
+    link lk rho is a surface, possibly with boundary: each of its edges lies
+    in one or two triangles (the ridge rows) and each vertex link is a path
+    or a cycle.  Connectivity, chi and the boundary then decide it; only RP^2
+    depends on the field.  Any other 2-dimensional link is ranked.
     """
     d = K.dim
     low = max(d - 2, 1)
@@ -353,17 +336,25 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
         for k in range(low, len(f) + 1):
             for s in itertools.combinations(f, k):
                 stars.setdefault(s, []).append(f)
-    surfaces = K.is_pure() and d - 2 >= 1
+    pure = K.is_pure()
+    surfaces = pure and d - 2 >= 1
     spoiled = set()  # faces of size d - 2 below a bad row
     rows = {}
     for rho in sorted(stars, key=len, reverse=True):
-        link = _star_link(rho, stars[rho])
-        if surfaces and len(rho) == d - 2 and rho not in spoiled:
-            row = _LinkRow(rho, *_surface_class(link, field))
-        elif max(map(len, link)) <= 2:
-            row = _link_row(rho, _graph_betti(link, field), d)
+        star = stars[rho]
+        if pure and len(rho) > d:  # a facet
+            row = _LinkRow(rho, "sphere", True)
+        elif pure and len(rho) == d:  # a ridge
+            n = len(star)
+            row = _LinkRow(rho, "ball" if n == 1 else "sphere" if n == 2 else "bad", n == 1)
+        elif surfaces and len(rho) == d - 2 and rho not in spoiled:
+            row = _LinkRow(rho, *_surface_class(_star_link(rho, star), field))
         else:
-            row = _collapsed_or_ranked_row(rho, link, d, field)
+            link = _star_link(rho, star)
+            if max(map(len, link)) <= 2:
+                row = _link_row(rho, _graph_betti(link, field), d)
+            else:
+                row = _collapsed_or_ranked_row(rho, link, d, field)
         if surfaces and row.cls == "bad" and len(rho) > d - 2:
             spoiled.update(itertools.combinations(rho, d - 2))
         rows[rho] = row
@@ -602,10 +593,17 @@ def _orientable(K: SimplicialComplex, boundary: SimplicialComplex | None, field:
 def is_semi_eulerian(K: SimplicialComplex) -> bool:
     """chi(link rho) = chi(S^{d-|rho|-1}) for every nonempty face rho.
 
-    Each chi(link rho) is counted from the faces of K, without ranks: the sum
-    over faces sigma strictly containing rho of (-1)^{|sigma|-|rho|-1}.
+    A link census that is already cached, over any field, and has no bad row
+    answers it: every link is then a homology sphere or ball, and a ball's
+    chi = 1 is never a sphere's, so K is semi-Eulerian exactly when every row
+    is a sphere.  No census is built here.  Otherwise each chi(link rho) is
+    counted from the faces of K, without ranks: the sum over faces sigma
+    strictly containing rho of (-1)^{|sigma|-|rho|-1}.
     """
     K.require_pure("semi-Eulerian test")
+    for census in K._link_censuses.values():
+        if all(row.cls != "bad" for row in census):
+            return all(row.cls == "sphere" for row in census)
     faces = list(K.faces())
     chi: dict = {}
     for sigma in faces:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import importlib
 from math import comb
 
 import faceenum as fe
 from faceenum.audit import HOLDS, INAPPLICABLE, TIGHT, VIOLATED, Assertions, binomial_pair_decomposition
+
+audit_module = importlib.import_module("faceenum.audit")  # fe.audit is the function
 
 
 def test_binomial_pair_decomposition():
@@ -135,3 +138,20 @@ def test_audit_of_a_point_reports_h2_checks_inapplicable():
     for name in ("universal_upper", "covering_bound", "closed_edge_bound", "kalai_edge_conjecture"):
         assert rep.by_name(name).status == INAPPLICABLE
     assert not rep.violations()
+
+
+def test_min_first_betti_reference_is_built_once(monkeypatch):
+    calls = []
+    real = audit_module.kuhnel_lassmann
+
+    def counting(n, m):
+        calls.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(audit_module, "kuhnel_lassmann", counting)
+    audit_module._min_first_betti_reference.cache_clear()
+    K = fe.kuhnel_lassmann(11, 2)
+    first = fe.audit(K).by_name("min_first_betti")
+    assert first.status == TIGHT
+    assert fe.audit(fe.SimplicialComplex(K.facets)).by_name("min_first_betti") == first
+    assert calls == [(11, 2)]

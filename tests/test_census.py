@@ -104,8 +104,8 @@ def _handle(n, d, reverse=False):
     return fe.handle_addition(K, s, t, dict(zip(s, image)))
 
 
-def _wedge():
-    A = fe.stacked_sphere(8, 4)
+def _wedge(d=4):
+    A = fe.stacked_sphere(8, d)
     return fe.SimplicialComplex(A.facets + A.relabel({v: v + 7 for v in A.vertices}).facets)
 
 
@@ -216,7 +216,7 @@ def test_sphere_and_links_closed_match_oracle(name, K, field):
 @pytest.mark.parametrize("name,K", INPUTS, ids=[n for n, _ in INPUTS])
 def test_semi_eulerian_matches_oracle_from_any_census(name, K):
     want = old_is_semi_eulerian(K)
-    assert fe.is_semi_eulerian(_fresh(K)) == want  # builds the census over Q
+    assert fe.is_semi_eulerian(_fresh(K)) == want  # counts; builds no census
     warmed = _fresh(K)
     fe.manifold_report(warmed, fe.GF2, require_connected=False)  # caches the GF(2) census
     assert fe.is_semi_eulerian(warmed) == want
@@ -294,6 +294,80 @@ def test_census_rows_without_collapse_certificates_are_equal(monkeypatch, name, 
     certified = _link_census(_fresh(K), field)
     monkeypatch.setattr(homology, "_collapse_class", lambda link, m: None)
     assert _link_census(_fresh(K), field) == certified
+
+
+@st.composite
+def non_pure_complexes(draw):
+    """A random complex whose facets may have different sizes."""
+    n = draw(st.integers(4, 7))
+    face = st.lists(st.integers(1, n), min_size=1, max_size=5, unique=True)
+    return fe.SimplicialComplex(draw(st.lists(face, min_size=2, max_size=8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(non_pure_complexes(), st.sampled_from(FIELDS))
+def test_census_rows_match_ranked_links_on_random_non_pure_complexes(K, field):
+    _assert_rows_match_oracle(K, field)
+
+
+STAR_SIZED = [("kl13_2", fe.kuhnel_lassmann(13, 2)), ("stacked20_5", fe.stacked_sphere(20, 5))]
+
+
+@pytest.mark.parametrize("name,K", STAR_SIZED, ids=[n for n, _ in STAR_SIZED])
+def test_census_builds_no_link_of_a_facet_or_a_ridge(monkeypatch, name, K):
+    """In a pure complex the star size alone gives the rows of the facets
+    (dim K + 1 vertices) and the ridges (dim K vertices)."""
+    sizes = []
+    real = homology._star_link
+
+    def counting_star_link(rho, star):
+        sizes.append(len(rho))
+        return real(rho, star)
+
+    monkeypatch.setattr(homology, "_star_link", counting_star_link)
+    rows = _link_census(_fresh(K), fe.RATIONALS)
+    assert sizes and max(sizes) < K.dim
+    assert sum(len(row.face) >= K.dim for row in rows) == K.f_vector[K.dim] + K.f_vector[K.dim + 1]
+    monkeypatch.setattr(homology, "_star_link", real)
+    _assert_rows_match_oracle(K, fe.RATIONALS)
+
+
+def test_semi_eulerian_builds_no_census():
+    K = _fresh(fe.kuhnel_lassmann(13, 2))
+    assert fe.is_semi_eulerian(K) and not fe.is_eulerian(K)
+    assert K._link_censuses == {}
+
+
+# (name, complex, the classes of its census rows, semi-Eulerian); the link of
+# the wedge point is two spheres, bad either way, and its chi is that of one
+# sphere only in odd dimension: two 3-spheres in the wedge of 4-spheres
+SEMI_EULERIAN_READS = [
+    ("wedge", _wedge(), {"sphere", "bad"}, False),
+    ("wedge-4-spheres", _wedge(5), {"sphere", "bad"}, True),
+    ("kl11-facet", _minus_facet(fe.kuhnel_lassmann(11, 2), 0), {"sphere", "ball"}, False),
+    ("kl11", fe.kuhnel_lassmann(11, 2), {"sphere"}, True),
+]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name,K,classes,want", SEMI_EULERIAN_READS, ids=[n for n, *_ in SEMI_EULERIAN_READS])
+def test_semi_eulerian_read_from_the_census_equals_the_count(monkeypatch, name, K, classes, want, field):
+    assert fe.is_semi_eulerian(_fresh(K)) == want  # counted: no census cached
+    warmed = _fresh(K)
+    assert {row.cls for row in _link_census(warmed, field)} == classes
+    if "bad" not in classes:  # the census answers; the faces are not counted
+        monkeypatch.setattr(fe.SimplicialComplex, "faces", lambda self: pytest.fail("counted"))
+    assert fe.is_semi_eulerian(warmed) == want
+
+
+def test_semi_eulerian_reads_any_field_census_without_bad_rows(monkeypatch):
+    """Over GF(2) the suspended RP^2 has bad rows; its Q census has none."""
+    S = _fresh(rp2_six().join(fe.from_facets([[7], [8]])))
+    want = old_is_semi_eulerian(S)
+    _link_census(S, fe.GF2)
+    _link_census(S, fe.RATIONALS)
+    monkeypatch.setattr(fe.SimplicialComplex, "faces", lambda self: pytest.fail("counted"))
+    assert fe.is_semi_eulerian(S) == want
 
 
 # (name, complex, links the census ranks over Q)

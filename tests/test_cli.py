@@ -5,6 +5,7 @@ import json
 import pytest
 
 import faceenum as fe
+from faceenum import cli
 from faceenum import io as fio
 from faceenum.cli import build_parser, main
 from faceenum.errors import ParseError
@@ -200,3 +201,13 @@ def test_field_and_seed_flags_only_where_read(tmp_path, capsys):
     args = build_parser().parse_args(["generate", "refit", "--input", p])
     assert args.seed is None
     assert main(["audit", p, "--field", "gf2"]) == 0
+
+
+def test_parser_is_built_once_and_handlers_are_found_by_name(tmp_path, monkeypatch):
+    """A handler replaced after the parser was built still gets the call."""
+    assert build_parser() is build_parser()
+    p = write_complex(tmp_path, fe.stacked_sphere(7, 4))
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.path) or 0)
+    assert main(["analyze", p]) == 0
+    assert seen == [p]
