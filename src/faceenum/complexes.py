@@ -10,7 +10,9 @@ All operations are pure: they return new complexes and never mutate inputs,
 so values are freely shareable across threads.  The successor of a
 construction move is built by a local edit of its parent and carries the
 parent's caches (vertex index, vertices, f-vector), edited only around the
-touched star; the full constructor stays the reference path.
+touched star.  A bistellar move hands over its f-vector from the move's
+closed form; a central retriangulation recounts the faces of its touched
+facets.  The full constructor stays the reference path.
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ def face(vertices) -> Face:
         if a == b:
             raise DuplicateVertexInFacet(f"repeated vertex {a!r} in face {vs!r}")
     return vs
+
+
+def _one_kind(labels) -> bool:
+    """True when the labels are all ints or all strings.  Plain tuple order
+    then agrees with ``label_key``, and on faces of one size with
+    ``_facet_order``, so sorts and bisections need no key function."""
+    return len({isinstance(v, str) for v in labels}) <= 1
 
 
 def face_key(f) -> tuple:
@@ -205,6 +214,12 @@ class SimplicialComplex:
         return {}
 
     @cached_property
+    def _top_ranks(self) -> dict:
+        """Rank of the top boundary matrix per field, filled by
+        ``homology._top_rank``."""
+        return {}
+
+    @cached_property
     def edges(self) -> frozenset:
         return frozenset(self.all_faces(1)) if self.dim >= 1 else frozenset()
 
@@ -280,50 +295,62 @@ class SimplicialComplex:
     def relabel(self, mapping: dict) -> "SimplicialComplex":
         return SimplicialComplex([[mapping.get(v, v) for v in f] for f in self.facets])
 
-    def _edited(self, removed, added) -> "SimplicialComplex":
+    def _edited(self, removed, added, f_vector: tuple | None = None) -> "SimplicialComplex":
         """The successor with the facets ``removed`` replaced by the new
         canonical faces ``added``, built by a local edit.
 
         The caller guarantees that ``removed`` are facets, that ``added`` are
         not faces, and that the result is an antichain.  The facet order is
-        that of the full constructor.  The vertex index and the vertices are
-        edited around the touched vertices; the f-vector is carried only when
-        the parent has one, by counting the faces of the removed and added
+        that of the full constructor; when the result is pure and every
+        label is of one kind, plain tuple order is that order, and the
+        facets and vertices are bisected without a key function.  The vertex
+        index and the vertices are edited around the touched vertices.  The
+        successor carries ``f_vector`` when the caller knows it (a bistellar
+        move does, from its closed form); otherwise, when the parent has an
+        f-vector, it carries a recount of the faces of the removed and added
         facets against the kept facets.
         """
         removed = set(removed)
         fs = list(self.facets)
+        verts = list(self.vertices)
+        size = len(fs[0])
+        plain = (self.is_pure() and all(len(f) == size for f in added)
+                 and _one_kind([*verts[:1], *verts[-1:], *(v for f in added for v in (f[0], f[-1]))]))
+        order, vorder = (None, None) if plain else (_facet_order, label_key)
         for f in removed:
-            del fs[bisect_left(fs, _facet_order(f), key=_facet_order)]
+            del fs[bisect_left(fs, f if plain else order(f), key=order)]
         for f in added:
-            insort(fs, f, key=_facet_order)
+            insort(fs, f, key=order)
         out = SimplicialComplex.__new__(SimplicialComplex)
         out.facets = tuple(fs)
         old_idx = self._vertex_to_facets
         idx = dict(old_idx)
-        verts = list(self.vertices)
         for v in {v for f in (*removed, *added) for v in f}:
             star = [f for f in old_idx.get(v, ()) if f not in removed]
             for f in added:
                 if v in f:
-                    insort(star, f, key=_facet_order)
+                    insort(star, f, key=order)
             if star:
                 if v not in old_idx:
-                    insort(verts, v, key=label_key)
+                    insort(verts, v, key=vorder)
                 idx[v] = tuple(star)
             else:
                 del idx[v]
-                del verts[bisect_left(verts, label_key(v), key=label_key)]
+                del verts[bisect_left(verts, v if plain else vorder(v), key=vorder)]
         out.__dict__.update(_vertex_to_facets=idx, vertices=tuple(verts))
-        if "f_vector" in self.__dict__:
+        if f_vector is not None:
+            out.__dict__["f_vector"] = f_vector
+        elif "f_vector" in self.__dict__:
             out.__dict__["f_vector"] = self._edited_f_vector(removed, added, len(fs[-1]) + 1)
         return out
 
     def _edited_f_vector(self, removed: set, added, size: int) -> tuple:
-        """f-vector after the edit of ``_edited``: a face of only the removed
-        facets disappears and a face of only the added facets is new, unless
-        a kept facet contains it.  Faces go by size, so a face with a lost
-        subface is lost without a look at the stars."""
+        """f-vector after the edit of ``_edited``, by a local recount: a face
+        of only the removed facets disappears and a face of only the added
+        facets is new, unless a kept facet contains it.  Faces go by size, so
+        a face with a lost subface is lost without a look at the stars.  It
+        serves central retriangulations, and it is the oracle of the
+        bistellar closed form in the tests."""
         def faces_of(facets):
             return {s for f in facets for k in range(1, len(f) + 1) for s in itertools.combinations(f, k)}
 

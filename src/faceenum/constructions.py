@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .complexes import SimplicialComplex, face, face_key, fresh_vertex
+from .complexes import SimplicialComplex, _one_kind, face, fresh_vertex, label_key
 from .errors import (
     ArgumentOutOfRange,
     HypothesisNotMet,
@@ -44,10 +44,9 @@ class MoveLog:
         return self.steps
 
 
-def _bistellar_step(K: SimplicialComplex, move: BistellarMove, log: MoveLog | None,
-                    check_h: bool = True) -> SimplicialComplex:
+def _bistellar_step(K: SimplicialComplex, move: BistellarMove, log: MoveLog | None) -> SimplicialComplex:
     """Apply a bistellar move and log it; every logged move goes through here."""
-    K = apply_bistellar(K, move, check_h=check_h)
+    K = apply_bistellar(K, move)
     if log is not None:
         log.record("bistellar", {"f": list(move.F), "g": list(move.G)}, K)
     return K
@@ -84,11 +83,12 @@ class BistellarMove:
         return len(self.G) - 1
 
 
-def check_move(K: SimplicialComplex, move: BistellarMove):
+def check_move(K: SimplicialComplex, move: BistellarMove) -> list:
     """Legality: the induced subcomplex on F u G equals F * boundary(G).
 
     Concretely: every F u (G - g) is a facet, G itself is not a face, and no
     facet beyond those contains F (so the link of F is exactly boundary(G)).
+    Returns the facets that contain F, which a legal move replaces.
     """
     F, G = move.F, move.G
     if set(F) & set(G):
@@ -98,18 +98,22 @@ def check_move(K: SimplicialComplex, move: BistellarMove):
     K.require_pure("bistellar move")
     if len(F) + len(G) != K.d + 1:
         raise IllegalMove(f"|F|+|G| = {len(F) + len(G)}, expected d+1 = {K.d + 1}")
-    allowed = [face(F + tuple(x for x in G if x != g)) for g in G]
     star = K.facets_containing(F)
-    for fac in allowed:
-        if fac not in star:
+    # a facet of the star inside F u G is F u (G - g) for the one g it misses
+    span = set(F + G)
+    inside = {next(x for x in G if x not in fac) for fac in star if span.issuperset(fac)}
+    for g in G:
+        if g not in inside:
+            fac = face(F + tuple(x for x in G if x != g))
             raise IllegalMove(f"missing facet {fac!r}: induced subcomplex is smaller than F * dG")
     if len(G) >= 2 and K.has_face(G):
         raise IllegalMove(f"{G!r} is already a face: induced subcomplex exceeds F * dG")
     if len(G) == 1 and K.has_face(G):
         raise IllegalMove(f"subdivision vertex {G[0]!r} already present")
     for fac in star:
-        if fac not in allowed:
+        if not span.issuperset(fac):
             raise IllegalMove(f"extra facet {fac!r} contains F: link of F exceeds dG")
+    return star
 
 
 def bistellar_h_effect(h: tuple, m: int, d: int) -> tuple:
@@ -123,18 +127,29 @@ def bistellar_h_effect(h: tuple, m: int, d: int) -> tuple:
     return tuple(out)
 
 
-def apply_bistellar(K: SimplicialComplex, move: BistellarMove, check_h: bool = True) -> SimplicialComplex:
-    """Apply a legal bistellar move; the h-vector change is asserted."""
-    check_move(K, move)
+def apply_bistellar(K: SimplicialComplex, move: BistellarMove) -> SimplicialComplex:
+    """Apply a legal bistellar move by a local edit of K.
+
+    The result carries its f-vector from the move's closed form: the faces
+    F u t with t a proper subset of G go, C(|G|, j) of size |F| + j, and the
+    faces G u t' with t' a proper subset of F come, C(|F|, i) of size
+    |G| + i.  A K without an f-vector is counted once.  Every move then
+    checks its h-vector change against ``bistellar_h_effect``.
+    """
+    removed = check_move(K, move)
     F, G = move.F, move.G
-    expect = bistellar_h_effect(h_vector(K).entries, move.m, K.d) if check_h else None
-    removed = [face(F + tuple(x for x in G if x != g)) for g in G]
-    added = [face(G + tuple(x for x in F if x != f)) for f in F]
-    result = K._edited(removed, added)
-    if check_h:
-        got = h_vector(result).entries
-        if got != expect:
-            raise IllegalMove(f"h-vector effect mismatch: got {got}, expected {expect}")
+    f = list(K.f_vector)
+    for j in range(len(G)):
+        f[len(F) + j] -= comb(len(G), j)
+    for i in range(len(F)):
+        f[len(G) + i] += comb(len(F), i)
+    order = None if _one_kind((F[0], F[-1], G[0], G[-1])) else label_key
+    added = [tuple(sorted(G + F[:i] + F[i + 1:], key=order)) for i in range(len(F))]
+    result = K._edited(removed, added, tuple(f))
+    expect = bistellar_h_effect(h_vector(K).entries, move.m, K.d)
+    got = h_vector(result).entries
+    if got != expect:
+        raise IllegalMove(f"h-vector effect mismatch: got {got}, expected {expect}")
     return result
 
 
@@ -147,7 +162,9 @@ def simplex_boundary(d: int) -> SimplicialComplex:
     if d < 1:
         raise ArgumentOutOfRange("d must be >= 1")
     verts = tuple(range(1, d + 2))
-    return SimplicialComplex([verts[:i] + verts[i + 1:] for i in range(d + 1)])
+    K = SimplicialComplex([verts[:i] + verts[i + 1:] for i in range(d + 1)])
+    K.__dict__["f_vector"] = tuple(comb(d + 1, k) for k in range(d + 1))
+    return K
 
 
 def stacked_sphere(n: int, d: int) -> SimplicialComplex:
@@ -161,7 +178,7 @@ def stacked_sphere(n: int, d: int) -> SimplicialComplex:
     K = simplex_boundary(d)
     for v in range(d + 2, n + 1):
         target = K.facets[-1]
-        K = apply_bistellar(K, BistellarMove(target, (v,)), check_h=False)
+        K = apply_bistellar(K, BistellarMove(target, (v,)))
     return K
 
 
@@ -222,7 +239,7 @@ def kuhnel_lassmann(n: int, m: int) -> SimplicialComplex:
                 cur += step
                 fac.append((cur - 1) % n + 1)
             facets.add(face(fac))
-    return SimplicialComplex(sorted(facets, key=face_key))
+    return SimplicialComplex(facets)
 
 
 def _mod_label(x: int, n: int) -> int:
@@ -469,7 +486,7 @@ def _subdivide_facets(K: SimplicialComplex, count: int, log: MoveLog | None) -> 
     """Subdivide the first facet ``count`` times; each subdivision raises h_1
     and h_2 by one and leaves g_2 unchanged."""
     for _ in range(count):
-        K = _bistellar_step(K, BistellarMove(K.facets[0], (fresh_vertex(K),)), log, check_h=False)
+        K = _bistellar_step(K, BistellarMove(K.facets[0], (fresh_vertex(K),)), log)
     return K
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _facet_order
+from .complexes import SimplicialComplex, _facet_order, _one_kind
 from .errors import ArgumentOutOfRange
 
 
@@ -259,10 +259,12 @@ def betti(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> BettiVector:
     faces_by_dim = [sorted(K.all_faces(i), key=key) for i in range(0, d + 1)]
     ranks = [0] * (d + 2)  # ranks[k] = rank of boundary_k, k = 0..d
     ranks[0] = 1  # augmentation: every vertex maps to the empty face
-    for k in range(1, d + 1):
+    for k in range(1, d):
         index = {f: i for i, f in enumerate(faces_by_dim[k - 1])}
         rows = _boundary_rows(faces_by_dim[k], index)
         ranks[k] = matrix_rank(rows, field)
+    if d >= 1:
+        ranks[d] = _top_rank(K, field, faces_by_dim[d], faces_by_dim[d - 1])
     values = [0]  # beta_-1 = 0 for nonempty complexes
     for i in range(0, d + 1):
         fi = len(faces_by_dim[i])
@@ -270,12 +272,22 @@ def betti(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> BettiVector:
     return BettiVector(field, tuple(values))
 
 
+def _top_rank(K: SimplicialComplex, field: FieldSpec, top: list, ridges: list) -> int:
+    """Rank over the field of the boundary map from the top faces onto all
+    ridges of K, once per complex and field: ``betti`` and the orientability
+    test of a complex without boundary both need it."""
+    cache = K._top_ranks
+    if field not in cache:
+        cache[field] = matrix_rank(_boundary_rows(top, {f: i for i, f in enumerate(ridges)}), field)
+    return cache[field]
+
+
 def _same_size_key(K: SimplicialComplex):
     """Sort key for faces of one size: none (plain tuple order) when every
     label of K is of one kind, where that order is ``_facet_order``'s, and
     ``_facet_order`` when K mixes int and str labels."""
     vs = K.vertices
-    return None if isinstance(vs[0], str) == isinstance(vs[-1], str) else _facet_order
+    return None if _one_kind((vs[0], vs[-1])) else _facet_order
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
@@ -586,6 +598,8 @@ def _orientable(K: SimplicialComplex, boundary: SimplicialComplex | None, field:
     top = sorted(K.all_faces(d), key=key)
     bfaces = set(boundary.faces()) if boundary is not None else set()
     mid = sorted(K.all_faces(d - 1) - bfaces, key=key) if d >= 1 else []
+    if d >= 1 and boundary is None:
+        return len(top) - _top_rank(K, field, top, mid) == 1
     rows = _boundary_rows(top, {f: i for i, f in enumerate(mid)})
     return len(top) - matrix_rank(rows, field) == 1
 

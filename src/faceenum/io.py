@@ -169,8 +169,9 @@ def _labels(value, i: int, what: str) -> tuple:
 def replay_move_log(K: SimplicialComplex, steps: list) -> SimplicialComplex:
     """Re-run a recorded construction through the step functions that
     recorded it; each step's (f0, f1) must equal the recorded one, so replays
-    are byte-identical to the original run.  Logged balls are certified as
-    simple trees in their recorded order."""
+    are byte-identical to the original run.  Every bistellar step checks its
+    h-vector change, and logged balls are certified as simple trees in their
+    recorded order."""
     for i, step in enumerate(steps):
         if not isinstance(step, dict) or not isinstance(step.get("parameters"), dict):
             raise ParseError(f'step {i} is not an object with a "parameters" object')
@@ -180,7 +181,7 @@ def replay_move_log(K: SimplicialComplex, steps: list) -> SimplicialComplex:
         log = MoveLog()
         if op == "bistellar":
             move = BistellarMove(_labels(params.get("f"), i, "f"), _labels(params.get("g"), i, "g"))
-            K = _bistellar_step(K, move, log, check_h=False)
+            K = _bistellar_step(K, move, log)
         elif op == "central_retriangulation":
             ball = params.get("ball")
             if not isinstance(ball, list):

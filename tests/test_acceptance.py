@@ -247,7 +247,7 @@ def test_criterion_10_property_suites():
             rng.choice(K.facets), (f"n{moves_done}",)
         )
         before = fe.h_vector(K).entries
-        K = fe.apply_bistellar(K, mv, check_h=False)
+        K = fe.apply_bistellar(K, mv)
         assert fe.h_vector(K).entries == fe.bistellar_h_effect(before, mv.m, K.d)
         cur[i] = K
         moves_done += 1

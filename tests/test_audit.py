@@ -155,3 +155,29 @@ def test_min_first_betti_reference_is_built_once(monkeypatch):
     assert first.status == TIGHT
     assert fe.audit(fe.SimplicialComplex(K.facets)).by_name("min_first_betti") == first
     assert calls == [(11, 2)]
+
+
+def test_audit_ranks_the_top_boundary_once(monkeypatch):
+    """``betti`` and the orientability test of a closed manifold share one
+    rank of the top boundary matrix per complex and field."""
+    homology = importlib.import_module("faceenum.homology")
+    calls = []
+    real = homology.matrix_rank
+
+    def counting(rows, field):
+        calls.append(field)
+        return real(rows, field)
+
+    monkeypatch.setattr(homology, "matrix_rank", counting)
+    for (n, m), ranks in (((30, 2), 4), ((17, 3), 6)):
+        calls.clear()
+        assert not fe.audit(fe.kuhnel_lassmann(n, m)).violations()
+        assert len(calls) == ranks, (n, m, len(calls))
+        calls.clear()
+        assert fe.manifold_report(fe.kuhnel_lassmann(n, m)).closed
+        assert len(calls) == 1  # the orientability rank, as before
+    K = fe.kuhnel_lassmann(30, 2)
+    calls.clear()
+    fe.betti(K, fe.GF2)
+    fe.manifold_report(K)  # over Q: its own rank
+    assert len(calls) == 5

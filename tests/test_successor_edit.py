@@ -1,9 +1,11 @@
 """Successor complexes by local edit.
 
 ``apply_bistellar`` and ``central_retriangulation`` build their result from
-the parent complex by a local edit that carries the parent's caches.  Every
-step of a random legal move sequence is checked here against the full
-constructor ``SimplicialComplex(K.facets)``, which stays the reference path.
+the parent complex by a local edit that carries the parent's caches; a
+bistellar move carries its f-vector from the move's closed form.  Every step
+of a random legal move sequence is checked here against the full constructor
+``SimplicialComplex(K.facets)``, which stays the reference path, and the
+closed form against the local recount ``_edited_f_vector``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faceenum as fe
-from faceenum.complexes import SimplicialComplex, face, fresh_vertex
+from faceenum import complexes
+from faceenum.complexes import SimplicialComplex, face, face_key, fresh_vertex
 from faceenum.constructions import BistellarMove, apply_bistellar, check_move
 from faceenum.errors import IllegalMove
 from faceenum.trees import central_retriangulation, grow_simple_tree
+
+
+def _str_labels(K):
+    return K.relabel({v: f"v{v:02d}" for v in K.vertices})
+
+
+def _mixed_labels(K):
+    return K.relabel({v: f"s{v}" for v in K.vertices if v % 2})
+
 
 SEEDS = {
     "stacked7_3": lambda: fe.stacked_sphere(7, 3),
@@ -27,6 +39,10 @@ SEEDS = {
     "stacked9_5": lambda: fe.stacked_sphere(9, 5),
     "kl11_2": lambda: fe.kuhnel_lassmann(11, 2),
     "ball8_4": lambda: SimplicialComplex(fe.stacked_sphere(8, 4).facets[1:]),  # a face can lose its last facet
+    "str_stacked9_4": lambda: _str_labels(fe.stacked_sphere(9, 4)),
+    "str_kl11_2": lambda: _str_labels(fe.kuhnel_lassmann(11, 2)),
+    "mixed_stacked9_5": lambda: _mixed_labels(fe.stacked_sphere(9, 5)),
+    "mixed_kl11_2": lambda: _mixed_labels(fe.kuhnel_lassmann(11, 2)),
 }
 KINDS = ("zero", "one", "unzero", "tree")
 
@@ -56,6 +72,31 @@ def _reverse_zero_moves(K) -> list:
             continue
         out.append(move)
     return out
+
+
+def _legal_moves(K) -> dict:
+    """Every legal move (F, G) with F a face of the given complex, by m."""
+    out: dict = {}
+    for F in sorted(_faces_of(K.facets), key=face_key):
+        G = tuple({x for f in K.facets_containing(F) for x in f} - set(F))
+        if not G or len(F) + len(G) != K.d + 1:
+            continue
+        move = BistellarMove(F, G)
+        try:
+            check_move(K, move)
+        except IllegalMove:
+            continue
+        out.setdefault(move.m, []).append(move)
+    return out
+
+
+def _fresh_label(K, rng):
+    """A new vertex of the complex's own label kind; either kind when it
+    mixes them."""
+    ints = [v for v in K.vertices if isinstance(v, int)]
+    if ints and (len(ints) == len(K.vertices) or rng.random() < 0.5):
+        return max(ints) + 1
+    return fresh_vertex(K)
 
 
 def _faces_of(facets) -> set:
@@ -117,17 +158,10 @@ def test_reverse_zero_move_removes_the_vertex():
     assert K2 == fe.stacked_sphere(8, 4)
 
 
-def test_successor_without_a_cached_parent_f_counts_nothing():
-    K = fe.stacked_sphere(8, 4)
-    K2 = apply_bistellar(K, BistellarMove(K.facets[0], ("w1",)), check_h=False)
-    assert "f_vector" not in K2.__dict__
-    assert K2.f_vector == SimplicialComplex(K2.facets).f_vector
-
-
 def test_move_with_empty_g_is_illegal():
     K = fe.stacked_sphere(6, 4)
     with pytest.raises(IllegalMove):
-        apply_bistellar(K, BistellarMove((1, 2, 3, 4, 5), ()), check_h=False)
+        apply_bistellar(K, BistellarMove((1, 2, 3, 4, 5), ()))
 
 
 @pytest.fixture
@@ -153,3 +187,56 @@ def test_fill_enumerates_the_faces_of_its_seed_only(face_enumerations):
 def test_stacked_sphere_enumerates_no_faces(face_enumerations):
     K = fe.stacked_sphere(60, 5)
     assert face_enumerations == [] and len(K.vertices) == 60
+
+
+def test_successor_of_an_uncounted_parent_counts_it_once(face_enumerations):
+    K = SimplicialComplex(fe.stacked_sphere(8, 4).facets)
+    K2 = apply_bistellar(K, BistellarMove(K.facets[0], ("w1",)))
+    K3 = apply_bistellar(K2, BistellarMove(K2.facets[-1], ("w2",)))
+    assert face_enumerations == [K]
+    assert "f_vector" in K2.__dict__ and "f_vector" in K3.__dict__
+    assert K3.f_vector == SimplicialComplex(K3.facets).f_vector
+
+
+def _random_chain(K, steps, rng):
+    """Yield (K, move, K') along a chain of random legal moves whose m runs
+    through 0 .. d-1 in turn; a 0-move stands in when no move of that m is
+    legal."""
+    for step in range(steps):
+        moves = _legal_moves(K).get(step % K.d, [])
+        move = rng.choice(moves) if moves else BistellarMove(rng.choice(K.facets), (_fresh_label(K, rng),))
+        K2 = apply_bistellar(K, move)
+        yield K, move, K2
+        K = K2
+
+
+@pytest.mark.parametrize("seed_name", sorted(n for n in SEEDS if n != "ball8_4"))
+def test_move_chains_of_every_m_equal_a_fresh_build(seed_name, monkeypatch):
+    """Chains of m-moves for every m, reverse 0-moves included, on int, str
+    and mixed labels.  One-kind labels take the keyless order path, which
+    calls no ``_facet_order``; mixed labels take the keyed one."""
+    keyed = []
+    order = complexes._facet_order
+    monkeypatch.setattr(complexes, "_facet_order", lambda f: keyed.append(f) or order(f))
+    rng = random.Random(seed_name)
+    K = SEEDS[seed_name]()
+    ms, moves_keyed = set(), 0
+    keyed.clear()
+    for K, move, K2 in _random_chain(K, 40, rng):
+        moves_keyed += bool(keyed)
+        _assert_like_fresh(K2, [*K.facets_containing(move.F), *K2.facets_containing(move.G)])
+        keyed.clear()  # the fresh build sorts by key
+        ms.add(move.m)
+    assert ms == set(range(K.d))
+    assert bool(moves_keyed) == seed_name.startswith("mixed"), moves_keyed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SEEDS)), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_closed_form_f_equals_the_local_recount(seed_name, steps, seed):
+    rng = random.Random(seed)
+    for K, move, K2 in _random_chain(SEEDS[seed_name](), steps, rng):
+        removed = set(K.facets) - set(K2.facets)
+        added = set(K2.facets) - set(K.facets)
+        assert removed == set(check_move(K, move))
+        assert K2.__dict__["f_vector"] == K._edited_f_vector(removed, added, K.d + 1)

@@ -142,13 +142,13 @@ def random_2_sphere(seed):
     rng = random.Random(seed)
     K = fe.simplex_boundary(3)
     while len(K.vertices) < rng.randint(7, 16):
-        K = fe.apply_bistellar(K, fe.BistellarMove(rng.choice(K.facets), (len(K.vertices) + 1,)), check_h=False)
+        K = fe.apply_bistellar(K, fe.BistellarMove(rng.choice(K.facets), (len(K.vertices) + 1,)))
     for _ in range(rng.randint(0, 40)):
         e = rng.choice(sorted(K.edges))
         opposite = [x for f in K.facets_containing(e) for x in f if x not in e]
         move = fe.BistellarMove(e, opposite)
         try:
-            K = fe.apply_bistellar(K, move, check_h=False)
+            K = fe.apply_bistellar(K, move)
         except IllegalMove:  # the opposite vertices are already adjacent
             pass
     return K
