@@ -214,9 +214,9 @@ class SimplicialComplex:
         return {}
 
     @cached_property
-    def _top_ranks(self) -> dict:
-        """Rank of the top boundary matrix per field, filled by
-        ``homology._top_rank``."""
+    def _top_pivot_columns(self) -> dict:
+        """Pivot columns of the top boundary matrix per field, filled by
+        ``homology._top_columns``."""
         return {}
 
     @cached_property

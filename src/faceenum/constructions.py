@@ -23,7 +23,7 @@ from .errors import (
 )
 from .homology import RATIONALS, FieldSpec, betti, manifold_report
 from .trees import SimpleTree, central_retriangulation, validate_simple_tree
-from .vectors import h_vector
+from .vectors import _h_entries, h_vector
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,8 @@ def apply_bistellar(K: SimplicialComplex, move: BistellarMove) -> SimplicialComp
     F u t with t a proper subset of G go, C(|G|, j) of size |F| + j, and the
     faces G u t' with t' a proper subset of F come, C(|F|, i) of size
     |G| + i.  A K without an f-vector is counted once.  Every move then
-    checks its h-vector change against ``bistellar_h_effect``.
+    checks its h-vector change against ``bistellar_h_effect``, with the
+    h-vectors transformed from the plain f-vector tuples.
     """
     removed = check_move(K, move)
     F, G = move.F, move.G
@@ -146,8 +147,8 @@ def apply_bistellar(K: SimplicialComplex, move: BistellarMove) -> SimplicialComp
     order = None if _one_kind((F[0], F[-1], G[0], G[-1])) else label_key
     added = [tuple(sorted(G + F[:i] + F[i + 1:], key=order)) for i in range(len(F))]
     result = K._edited(removed, added, tuple(f))
-    expect = bistellar_h_effect(h_vector(K).entries, move.m, K.d)
-    got = h_vector(result).entries
+    expect = bistellar_h_effect(_h_entries(K.f_vector), move.m, K.d)
+    got = _h_entries(result.f_vector)
     if got != expect:
         raise IllegalMove(f"h-vector effect mismatch: got {got}, expected {expect}")
     return result

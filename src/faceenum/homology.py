@@ -9,6 +9,9 @@ vanishes or becomes a new pivot.  Only the row arithmetic depends on the
 field: GF(2) rows are int bitmasks keyed by their lowest set bit, GF(p) rows
 are sparse dicts mod p with unit pivots, and rows over Q stay integral by
 cross-multiplication with gcd normalization (no floating point, no fractions).
+``betti`` ranks from the top dimension down and clears: a k-face that leads
+a pivot of the boundary from the (k+1)-faces is left out of the k-th
+boundary's rows, which keeps the rank since the boundary of a boundary is 0.
 
 The sphere and manifold predicates share one link census per complex and
 field: a single walk over the nonempty faces that classifies each face's link
@@ -19,21 +22,29 @@ otherwise; they never build one.  Links of links need no second walk, since
 lk_{lk rho}(sigma) = lk_K(rho u sigma): a link is a homology manifold without
 boundary exactly when every face strictly containing rho has a sphere link.
 
-Each link is decided in four steps: from its star size, else counted, else
-by a collapse certificate, else by ranks.  The walk goes from the largest
-faces down, so the rows above a face exist when it is classified.  In a pure
-complex no link of a facet or a ridge is built: a facet's link is S^-1, and a
-ridge in 1, 2 or more facets has a point, S^0 or a bad link.  Any other link
-of dimension <= 1 is a graph, and its Betti numbers are counts (components,
-and E - V + components).  A 2-dimensional link of a pure complex with no bad
-row above it is a surface, possibly with boundary; it is a sphere when closed
-with chi = 2, a ball when a disk (or RP^2 over a field of odd or zero
-characteristic), and bad otherwise.  Every other link is collapsed greedily.
-If it collapses to one vertex it is contractible, a ball.  If it does once
-one open facet F of dimension m = dim K - |rho| is removed, then by excision
-its reduced homology is H(F, dF), that of S^m, over every field.  Only the
-links where the collapse gets stuck (bad links, and acyclic ones such as the
-dunce hat) are ranked.  ``betti`` of a whole complex always ranks.
+Each link is decided in five steps: from its star size, else counted, else
+by a duality certificate, else by a collapse certificate, else by ranks.
+The walk goes from the largest faces down, so the rows above a face exist
+when it is classified.  In a pure complex no link of a facet or a ridge is
+built: a facet's link is S^-1, and a ridge in 1, 2 or more facets has a
+point, S^0 or a bad link.  Any other link of dimension <= 1 is a graph, and
+its Betti numbers are counts (components, and E - V + components).  A
+2-dimensional link of a pure complex with no bad row above it is a surface,
+possibly with boundary; it is a sphere when closed with chi = 2, a ball when
+a disk (or RP^2 over a field of odd or zero characteristic), and bad
+otherwise.  A link L of dimension m = 3 or 4 of a pure complex with only
+sphere rows above it is a closed homology m-manifold, since those rows are
+the links of L.  Its 2-skeleton certifies it connected with H_1(L; Z) = 0
+when a spanning tree and the triangles make every edge null-homotopic.  Then
+L is orientable over every field and Poincare duality (Munkres, Elements of
+Algebraic Topology, section 65) gives b_{m-1} = b_1 = 0: L is a homology
+3-sphere, or a homology 4-sphere when chi(L) = 2.  Every other link is
+collapsed greedily.  If it collapses to one vertex it is contractible, a
+ball.  If it does once one open facet F of dimension m = dim K - |rho| is
+removed, then by excision its reduced homology is H(F, dF), that of S^m, over
+every field.  Only the links where the collapse gets stuck (bad links, and
+acyclic ones such as the dunce hat) are ranked.  ``betti`` of a whole complex
+always ranks.
 
 The construction layer (trees, constructions, refit, catalog) runs its
 homology checks over Q; only the recognition predicates take a field.
@@ -97,10 +108,11 @@ def _require_field(field) -> None:
 # exact rank computation
 
 
-def _eliminate(rows, lead, reduce, settle) -> int:
-    """Rank by pivot-indexed elimination (Dumas-Saunders-Villard, 2001): each
-    row is reduced against the pivot of its leading column until it vanishes
-    or leads in a column with no pivot, where ``settle`` makes it the pivot."""
+def _eliminate(rows, lead, reduce, settle) -> dict:
+    """Pivot-indexed elimination (Dumas-Saunders-Villard, 2001): each row is
+    reduced against the pivot of its leading column until it vanishes or
+    leads in a column with no pivot, where ``settle`` makes it the pivot.
+    Returns the pivots by leading column; the rank is their number."""
     pivots: dict = {}  # leading column -> pivot row
     for row in rows:
         while row:
@@ -110,7 +122,7 @@ def _eliminate(rows, lead, reduce, settle) -> int:
                 pivots[c] = settle(row, c)
                 break
             row = reduce(row, q, c)
-    return len(pivots)
+    return pivots
 
 
 def _bits(row: dict) -> int:
@@ -181,17 +193,25 @@ def _mod_arithmetic(p: int) -> tuple:
     return reduce, settle
 
 
-def matrix_rank(rows: list[dict], field: FieldSpec) -> int:
-    """Exact rank of a sparse integer matrix over the given field.  This
-    only chooses the row arithmetic for ``_eliminate``; shorter rows go first."""
+def _pivot_columns(rows: list[dict], field: FieldSpec) -> set:
+    """The leading columns of the pivots of a sparse integer matrix over the
+    given field; their number is its rank.  This only chooses the row
+    arithmetic for ``_eliminate``; shorter rows go first.  A GF(2) pivot is
+    keyed by the lowest bit ``1 << c`` of its row."""
     rows = sorted((r for r in rows if r), key=len)
     p = field.p
     if p is None:
-        return _eliminate(map(dict, rows), min, _reduce_int, lambda row, c: _gcd_normalize(row))
+        return set(_eliminate(map(dict, rows), min, _reduce_int, lambda row, c: _gcd_normalize(row)))
     if p == 2:
-        return _eliminate(map(_bits, rows), lambda m: m & -m, lambda m, q, c: m ^ q, lambda m, c: m)
+        pivots = _eliminate(map(_bits, rows), lambda m: m & -m, lambda m, q, c: m ^ q, lambda m, c: m)
+        return {m.bit_length() - 1 for m in pivots}
     reduce, settle = _mod_arithmetic(p)
-    return _eliminate(({c: v % p for c, v in r.items() if v % p} for r in rows), min, reduce, settle)
+    return set(_eliminate(({c: v % p for c, v in r.items() if v % p} for r in rows), min, reduce, settle))
+
+
+def matrix_rank(rows: list[dict], field: FieldSpec) -> int:
+    """Exact rank of a sparse integer matrix over the given field."""
+    return len(_pivot_columns(rows, field))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +270,14 @@ class BettiVector:
 
 
 def betti(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> BettiVector:
-    """Reduced Betti numbers of K via exact ranks of boundary matrices."""
+    """Reduced Betti numbers of K via exact ranks of boundary matrices.
+
+    The ranks are taken from the top down with clearing (Chen-Kerber, 2011):
+    a k-face that leads a pivot z of the boundary from the (k+1)-faces
+    drops out of the k-th boundary's rows.  Since the boundary of z vanishes,
+    that row is a combination of the rows of later k-faces, so the rank
+    stays.
+    """
     _require_field(field)
     d = K.dim
     if d == -1:  # only the empty face: reduced homology of the (-1)-sphere
@@ -259,12 +286,14 @@ def betti(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> BettiVector:
     faces_by_dim = [sorted(K.all_faces(i), key=key) for i in range(0, d + 1)]
     ranks = [0] * (d + 2)  # ranks[k] = rank of boundary_k, k = 0..d
     ranks[0] = 1  # augmentation: every vertex maps to the empty face
-    for k in range(1, d):
-        index = {f: i for i, f in enumerate(faces_by_dim[k - 1])}
-        rows = _boundary_rows(faces_by_dim[k], index)
-        ranks[k] = matrix_rank(rows, field)
     if d >= 1:
-        ranks[d] = _top_rank(K, field, faces_by_dim[d], faces_by_dim[d - 1])
+        cleared = _top_columns(K, field, faces_by_dim[d], faces_by_dim[d - 1])
+        ranks[d] = len(cleared)
+    for k in range(d - 1, 0, -1):
+        index = {f: i for i, f in enumerate(faces_by_dim[k - 1])}
+        faces = [f for i, f in enumerate(faces_by_dim[k]) if i not in cleared]
+        cleared = _pivot_columns(_boundary_rows(faces, index), field)
+        ranks[k] = len(cleared)
     values = [0]  # beta_-1 = 0 for nonempty complexes
     for i in range(0, d + 1):
         fi = len(faces_by_dim[i])
@@ -272,13 +301,14 @@ def betti(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> BettiVector:
     return BettiVector(field, tuple(values))
 
 
-def _top_rank(K: SimplicialComplex, field: FieldSpec, top: list, ridges: list) -> int:
-    """Rank over the field of the boundary map from the top faces onto all
-    ridges of K, once per complex and field: ``betti`` and the orientability
-    test of a complex without boundary both need it."""
-    cache = K._top_ranks
+def _top_columns(K: SimplicialComplex, field: FieldSpec, top: list, ridges: list) -> set:
+    """The pivot columns over the field of the boundary map from the top
+    faces onto all ridges of K, once per complex and field: ``betti`` clears
+    with them, and it and the orientability test of a complex without
+    boundary both need their number, the rank."""
+    cache = K._top_pivot_columns
     if field not in cache:
-        cache[field] = matrix_rank(_boundary_rows(top, {f: i for i, f in enumerate(ridges)}), field)
+        cache[field] = _pivot_columns(_boundary_rows(top, {f: i for i, f in enumerate(ridges)}), field)
     return cache[field]
 
 
@@ -328,8 +358,9 @@ def _link_census(K: SimplicialComplex, field: FieldSpec) -> tuple:
 
 
 def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
-    """The census walk.  Faces with at least dim K - 2 vertices are classified
-    from the largest down, each from its star; smaller faces are ranked.
+    """The census walk.  Every nonempty face is classified from its star,
+    from the largest down, so the rows above a face exist when it is
+    classified; the rows come out in ``K.faces()`` order.
 
     When K is pure, a facet or a ridge is classified by its star size alone,
     with no link built: a facet's link is S^-1, and a ridge's link is one
@@ -339,7 +370,10 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
     link lk rho is a surface, possibly with boundary: each of its edges lies
     in one or two triangles (the ridge rows) and each vertex link is a path
     or a cycle.  Connectivity, chi and the boundary then decide it; only RP^2
-    depends on the field.  Any other 2-dimensional link is ranked.
+    depends on the field.  Any other 2-dimensional link is ranked.  When K
+    is pure and every row above rho is a sphere, a link of dimension 3 or 4
+    is a closed homology manifold and gets the duality certificate.  Links
+    it does not decide are collapsed, and ranked when the collapse gets stuck.
     """
     d = K.dim
     low = max(d - 2, 1)
@@ -348,12 +382,15 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
         for k in range(low, len(f) + 1):
             for s in itertools.combinations(f, k):
                 stars.setdefault(s, []).append(f)
+    faces = [rho for rho in K.faces() if rho]
+    small = sorted((rho for rho in faces if len(rho) < low), key=len, reverse=True)
     pure = K.is_pure()
     surfaces = pure and d - 2 >= 1
     spoiled = set()  # faces of size d - 2 below a bad row
+    unclosed = set()  # faces of size d - 3 or d - 4 below a ball or bad row
     rows = {}
-    for rho in sorted(stars, key=len, reverse=True):
-        star = stars[rho]
+    for rho in itertools.chain(sorted(stars, key=len, reverse=True), small):
+        star = stars[rho] if len(rho) >= low else K.facets_containing(rho)
         if pure and len(rho) > d:  # a facet
             row = _LinkRow(rho, "sphere", True)
         elif pure and len(rho) == d:  # a ridge
@@ -363,21 +400,21 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
             row = _LinkRow(rho, *_surface_class(_star_link(rho, star), field))
         else:
             link = _star_link(rho, star)
+            m = d - len(rho)
             if max(map(len, link)) <= 2:
                 row = _link_row(rho, _graph_betti(link, field), d)
+            elif pure and m in (3, 4) and rho not in unclosed and _duality_class(link, m):
+                row = _LinkRow(rho, "sphere", True)
             else:
                 row = _collapsed_or_ranked_row(rho, link, d, field)
         if surfaces and row.cls == "bad" and len(rho) > d - 2:
             spoiled.update(itertools.combinations(rho, d - 2))
+        if pure and row.cls != "sphere":
+            for k in (d - 3, d - 4):
+                if 0 < k < len(rho):
+                    unclosed.update(itertools.combinations(rho, k))
         rows[rho] = row
-    out = []
-    for rho in K.faces():
-        if rho:
-            row = rows.get(rho)
-            if row is None:
-                row = _collapsed_or_ranked_row(rho, _star_link(rho, K.facets_containing(rho)), d, field)
-            out.append(row)
-    return tuple(out)
+    return tuple(rows[rho] for rho in faces)
 
 
 def _star_link(rho: tuple, star) -> list:
@@ -400,6 +437,64 @@ def _collapsed_or_ranked_row(rho: tuple, link: list, dim: int, field: FieldSpec)
     if cls is not None:
         return _LinkRow(rho, cls, True)
     return _link_row(rho, betti(SimplicialComplex(link), field), dim)
+
+
+def _duality_class(link: list, m: int) -> str | None:
+    """"sphere" when the 2-skeleton certifies a closed homology m-manifold,
+    m = 3 or 4, given by its facets, to be a homology m-sphere over every
+    field; None when it does not.
+
+    The link L is connected and H_1(L; Z) = 0 when a spanning tree of its
+    graph reaches every vertex and every edge is then known to bound: an edge
+    of the tree is known, and a triangle with two known edges makes its third
+    edge known.  Then L is orientable over every field, its orientation
+    character factoring through H_1(L; Z), and Poincare duality gives
+    b_{m-1} = b_1 = 0.  For m = 3 that is S^3.  For m = 4 the one Betti
+    number left is b_2 = chi(L) - 2, and chi = 2 is needed (CP^2 has 3).
+    Edges are the ordered pairs of the sorted link facets, so no two labels
+    are ever compared.
+    """
+    triangles = dict.fromkeys(t for f in link for t in itertools.combinations(f, 3))
+    sides: dict = {}  # edge -> the other two edges of each triangle on it
+    for a, b, c in triangles:
+        ab, ac, bc = (a, b), (a, c), (b, c)
+        sides.setdefault(ab, []).append((ac, bc))
+        sides.setdefault(ac, []).append((ab, bc))
+        sides.setdefault(bc, []).append((ab, ac))
+    adjacent: dict = {}
+    for e in sides:
+        adjacent.setdefault(e[0], []).append((e[1], e))
+        adjacent.setdefault(e[1], []).append((e[0], e))
+    root = link[0][0]
+    reached = {root}
+    queue = [root]
+    known = set()  # the tree edges, then every edge they make known
+    for v in queue:  # breadth first
+        for w, e in adjacent[v]:
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+                known.add(e)
+    if len(reached) < len(adjacent):
+        return None
+    pending = list(known)
+    while pending:
+        for x, y in sides[pending.pop()]:
+            if x in known:
+                if y not in known:
+                    known.add(y)
+                    pending.append(y)
+            elif y in known:
+                known.add(x)
+                pending.append(x)
+    if len(known) < len(sides):
+        return None
+    if m == 4:
+        # each tetrahedron lies in two 4-simplices (the ridge rows), so
+        # f_3 = 5 f_4 / 2 and chi = f_0 - f_1 + f_2 - 3 f_4 / 2
+        if len(adjacent) - len(sides) + len(triangles) - 3 * len(link) // 2 != 2:
+            return None
+    return "sphere"
 
 
 def _collapse_class(link: list, m: int) -> str | None:
@@ -599,7 +694,7 @@ def _orientable(K: SimplicialComplex, boundary: SimplicialComplex | None, field:
     bfaces = set(boundary.faces()) if boundary is not None else set()
     mid = sorted(K.all_faces(d - 1) - bfaces, key=key) if d >= 1 else []
     if d >= 1 and boundary is None:
-        return len(top) - _top_rank(K, field, top, mid) == 1
+        return len(top) - len(_top_columns(K, field, top, mid)) == 1
     rows = _boundary_rows(top, {f: i for i, f in enumerate(mid)})
     return len(top) - matrix_rank(rows, field) == 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .complexes import Coloring, SimplicialComplex
@@ -91,6 +92,19 @@ def h_from_f(fv: FVector) -> HVector:
             for i in range(d + 1)
         )
     )
+
+
+@cache
+def _h_rows(d: int) -> tuple:
+    """Row i of the f-to-h transform for facets of d vertices: the
+    coefficients (-1)^(i-j) C(d-j, d-i) of f_{j-1}, j = 0..i."""
+    return tuple(tuple((-1) ** (i - j) * comb(d - j, d - i) for j in range(i + 1)) for i in range(d + 1))
+
+
+def _h_entries(f: tuple) -> tuple:
+    """(h_0, ..., h_d) of the f-vector entries (f_-1, ..., f_{d-1}), by the
+    transform rows cached per d; ``h_from_f`` without the vector types."""
+    return tuple(sum(c * x for c, x in zip(row, f)) for row in _h_rows(len(f) - 1))
 
 
 def f_from_h(hv: HVector) -> FVector:

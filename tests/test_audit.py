@@ -159,25 +159,30 @@ def test_min_first_betti_reference_is_built_once(monkeypatch):
 
 def test_audit_ranks_the_top_boundary_once(monkeypatch):
     """``betti`` and the orientability test of a closed manifold share one
-    rank of the top boundary matrix per complex and field."""
+    elimination of the top boundary matrix per complex and field.  ``betti``
+    then eliminates each lower boundary once, from the top down, without the
+    rows of the faces that lead a pivot one dimension up (clearing)."""
     homology = importlib.import_module("faceenum.homology")
-    calls = []
-    real = homology.matrix_rank
+    calls = []  # rows per elimination
+    real = homology._eliminate
 
-    def counting(rows, field):
-        calls.append(field)
-        return real(rows, field)
+    def counting(rows, lead, reduce, settle):
+        rows = list(rows)
+        calls.append(len(rows))
+        return real(rows, lead, reduce, settle)
 
-    monkeypatch.setattr(homology, "matrix_rank", counting)
-    for (n, m), ranks in (((30, 2), 4), ((17, 3), 6)):
+    monkeypatch.setattr(homology, "_eliminate", counting)
+    # f = (1, 30, 150, 300, 300, 120) and (1, 17, 119, 357, 595, 595, 357, 102):
+    # uncleared, the rows would be 120, 300, 300, 150 and 102, 357, 595, 595, 357, 119
+    for (n, m), rows in (((30, 2), [120, 181, 120, 30]), ((17, 3), [102, 256, 340, 255, 102, 17])):
         calls.clear()
         assert not fe.audit(fe.kuhnel_lassmann(n, m)).violations()
-        assert len(calls) == ranks, (n, m, len(calls))
+        assert calls == rows, (n, m)
         calls.clear()
         assert fe.manifold_report(fe.kuhnel_lassmann(n, m)).closed
-        assert len(calls) == 1  # the orientability rank, as before
+        assert calls == rows[:1]  # the orientability rank, as before
     K = fe.kuhnel_lassmann(30, 2)
     calls.clear()
     fe.betti(K, fe.GF2)
     fe.manifold_report(K)  # over Q: its own rank
-    assert len(calls) == 5
+    assert calls == [120, 181, 120, 30, 120]

@@ -26,6 +26,7 @@ from faceenum import homology
 from faceenum.audit import _links_closed
 from faceenum.catalog import s2xs2_two_neighborly
 from faceenum.homology import _link_census
+from test_successor_edit import _mixed_labels
 
 FIELDS = (fe.RATIONALS, fe.GF2, fe.FieldSpec(3))
 
@@ -141,6 +142,14 @@ SURFACES = {
 }
 
 
+CLOSED_NON_SPHERES = [
+    ("cp2_9", fe.catalog("cp2_9").payload),
+    ("s2xs2_sum", fe.catalog("s2xs2_sum").payload),
+    ("s1xs2-handle", _handle(14, 4)),
+    ("kl11", fe.kuhnel_lassmann(11, 2)),
+]
+
+
 def _cone(K):
     return K.join(fe.from_facets([[100]]))
 
@@ -174,6 +183,10 @@ def _inputs():
         ("point", fe.SimplicialComplex([[1]])),
     ]
     named.append(("kl15_3", fe.kuhnel_lassmann(15, 3)))
+    # closed apex links that are not spheres: chi = 3 and chi = 6, then
+    # H_1 = Z in dimension 3 and in dimension 4
+    for name, K in CLOSED_NON_SPHERES:
+        named.append((f"susp-{name}", _suspension(K)))
     for name, facets in SURFACES.items():
         named.append((f"cone-{name}", _cone(fe.from_facets(facets))))
         if name != "rp2":  # susp-rp2 is above
@@ -296,6 +309,72 @@ def test_census_rows_without_collapse_certificates_are_equal(monkeypatch, name, 
     assert _link_census(_fresh(K), field) == certified
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name,K", INPUTS, ids=[n for n, _ in INPUTS])
+def test_census_rows_without_duality_certificates_are_equal(monkeypatch, name, K, field):
+    """With every duality certificate stuck, the collapse and the ranks give
+    the certified rows."""
+    certified = _link_census(_fresh(K), field)
+    monkeypatch.setattr(homology, "_duality_class", lambda link, m: None)
+    assert _link_census(_fresh(K), field) == certified
+
+
+def _collapsed_dims(monkeypatch, K, field=fe.RATIONALS):
+    """The census rows of K, and the dimension m of each link collapsed."""
+    dims = []
+    real = homology._collapse_class
+
+    def counting_collapse(link, m):
+        dims.append(m)
+        return real(link, m)
+
+    monkeypatch.setattr(homology, "_collapse_class", counting_collapse)
+    rows = _link_census(_fresh(K), field)
+    monkeypatch.setattr(homology, "_collapse_class", real)
+    return rows, dims
+
+
+CERTIFIED = [
+    ("kl13_2", fe.kuhnel_lassmann(13, 2)),
+    ("kl15_3", fe.kuhnel_lassmann(15, 3)),
+    ("stacked20_5", fe.stacked_sphere(20, 5)),
+]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name,K", CERTIFIED, ids=[n for n, _ in CERTIFIED])
+def test_census_collapses_no_closed_link_of_dimension_3_or_4(monkeypatch, name, K, field):
+    """The closed links of dimension 3 and 4 of these manifolds are all
+    certified by duality; only the 5-dimensional vertex links of KL(15,3)
+    are collapsed."""
+    rows, dims = _collapsed_dims(monkeypatch, K, field)
+    assert all(row.cls == "sphere" for row in rows)
+    assert dims == ([5] * 15 if name == "kl15_3" else [])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name,K", CLOSED_NON_SPHERES, ids=[n for n, _ in CLOSED_NON_SPHERES])
+def test_suspended_closed_manifolds_report_the_apex(monkeypatch, name, K, field):
+    """The apex link is closed and no sphere: the certificate gets stuck (or
+    chi != 2), the collapse gets stuck, and the ranks find it bad."""
+    S = _suspension(K)
+    rows, dims = _collapsed_dims(monkeypatch, S, field)
+    assert [row.face for row in rows if row.cls == "bad"] == [(100,), (101,)]
+    assert dims == [K.dim] * 2
+    rep = fe.manifold_report(_fresh(S), field)
+    assert not rep.is_homology_manifold and rep.witness == (100,)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_duality_certificate_on_mixed_labels(monkeypatch, field):
+    """Half the labels are str.  The certificate reads edges off sorted link
+    facets and never compares an int label with a str label."""
+    K = _mixed_labels(fe.kuhnel_lassmann(11, 2))
+    rows, dims = _collapsed_dims(monkeypatch, K, field)
+    assert dims == [] and all(row.cls == "sphere" for row in rows)
+    _assert_rows_match_oracle(K, field)
+
+
 @st.composite
 def non_pure_complexes(draw):
     """A random complex whose facets may have different sizes."""
@@ -381,6 +460,8 @@ RANKED = [
     # the apex links (dunce hats) and the suspended links of the three
     # vertices on the dunce hat's singular edge
     ("susp-dunce-hat", _suspension(fe.from_facets(DUNCE_HAT)), 5),
+    # the two apex links of each suspended closed manifold
+    *((f"susp-{name}", _suspension(K), 2) for name, K in CLOSED_NON_SPHERES),
 ]
 
 

@@ -1,9 +1,11 @@
 """Differential tests: the pivot-indexed eliminator against the rank loops it
-replaced.
+replaced, and ``betti`` with clearing against the uncleared ranks.
 
 ``old_rank_gf2`` and ``old_rank_gfp`` are the finite-field loops as they were
 before: each row is reduced against every pivot found so far.  Over Q the
-oracle is plain Gaussian elimination with fractions.
+oracle is plain Gaussian elimination with fractions.  ``old_betti`` is
+``betti`` as it was before clearing: every boundary matrix ranked in full,
+from the bottom up.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 
 import faceenum as fe
 from conftest import rp2_six
-from faceenum import homology
-from faceenum.homology import matrix_rank
+from faceenum.homology import _boundary_rows, matrix_rank
+from test_census import INPUTS, pure_complexes
 
 FIELDS = (fe.RATIONALS, fe.GF2, fe.FieldSpec(3), fe.FieldSpec(5))
 
@@ -138,12 +140,45 @@ BETTI_INPUTS = [
 ]
 
 
+def old_betti(K, field, rank=matrix_rank):
+    """Reduced Betti numbers with every boundary matrix ranked in full, from
+    the bottom up, without clearing."""
+    d = K.dim
+    if d == -1:
+        return fe.BettiVector(field, (1,))
+    faces = [list(K.all_faces(i)) for i in range(d + 1)]
+    ranks = [1] + [0] * (d + 1)  # ranks[0]: the augmentation
+    for k in range(1, d + 1):
+        ranks[k] = rank(_boundary_rows(faces[k], {f: i for i, f in enumerate(faces[k - 1])}), field)
+    return fe.BettiVector(field, (0, *(len(faces[i]) - ranks[i] - ranks[i + 1] for i in range(d + 1))))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("name,K", BETTI_INPUTS, ids=[n for n, _ in BETTI_INPUTS])
-def test_betti_matches_oracle_ranks(monkeypatch, name, K, field):
-    want = fe.betti(fe.SimplicialComplex(K.facets), field)
-    monkeypatch.setattr(homology, "matrix_rank", oracle_rank)
-    assert fe.betti(fe.SimplicialComplex(K.facets), field) == want
+def test_betti_matches_oracle_ranks(name, K, field):
+    assert fe.betti(fe.SimplicialComplex(K.facets), field) == old_betti(K, field, oracle_rank)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name,K", INPUTS, ids=[n for n, _ in INPUTS])
+def test_cleared_betti_matches_uncleared_betti(name, K, field):
+    assert fe.betti(fe.SimplicialComplex(K.facets), field) == old_betti(K, field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pure_complexes((2, 3, 4, 5)), st.sampled_from(FIELDS))
+def test_cleared_betti_matches_uncleared_betti_on_random_complexes(K, field):
+    assert fe.betti(K, field) == old_betti(K, field)
+
+
+@pytest.mark.parametrize("K", [rp2_six(), _rp2_suspension()], ids=["rp2", "susp-rp2"])
+def test_clearing_keeps_the_characteristic(K):
+    """Over GF(2) the top boundary of RP^2 and of its suspension has one pivot
+    fewer, so fewer ridge rows are cleared, and H_top and H_top-1 appear."""
+    betti = [fe.betti(fe.SimplicialComplex(K.facets), field) for field in FIELDS]
+    assert betti == [old_betti(K, field) for field in FIELDS]
+    q, gf2, gf3, gf5 = (b.reduced_betti for b in betti)
+    assert gf2 != q == gf3 == gf5
 
 
 def test_betti_of_rp2_suspensions_depends_on_the_field():

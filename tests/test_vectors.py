@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import faceenum as fe
 from faceenum.errors import ArgumentOutOfRange, NotBalanced
-from faceenum.vectors import FVector, HVector, _phi_formula
+from faceenum.vectors import FVector, HVector, _h_entries, _phi_formula
 
 
 # --- f <-> h ---------------------------------------------------------------
@@ -52,6 +52,15 @@ def test_transform_is_polynomial_identity():
         h = fe.h_from_f(FVector(tuple(f)))
         for x in (-3, -1, 0, 1, 2, 5):
             assert poly_eval_shift(h.entries, x + 1) == poly_eval_shift(f, x)
+
+
+def test_cached_transform_rows_match_h_from_f():
+    """The bistellar h check transforms plain tuples by rows cached per d."""
+    rng = random.Random(20071017)
+    for d in range(9):
+        for _ in range(20):
+            f = (1, *(rng.randint(-60, 600) for _ in range(d)))
+            assert _h_entries(f) == fe.h_from_f(FVector(f)).entries
 
 
 @settings(max_examples=200, deadline=None)
