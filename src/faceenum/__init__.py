@@ -22,7 +22,6 @@ from .constructions import (
     MoveLog,
     S3XS3_MIN_H,
     apply_bistellar,
-    bistellar_h_effect,
     feasibility,
     has_dihedral_symmetry,
     in_walkup_class,
@@ -86,6 +85,7 @@ from .vectors import (
     Phi,
     affine_span_dim,
     binomial_expansion,
+    bistellar_h_effect,
     ds_defect,
     ds_defect_h,
     f_from_h,

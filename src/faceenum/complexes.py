@@ -9,10 +9,14 @@ with dimension while the facet lists stay small.
 All operations are pure: they return new complexes and never mutate inputs,
 so values are freely shareable across threads.  The successor of a
 construction move is built by a local edit of its parent and carries the
-parent's caches (vertex index, vertices, f-vector), edited only around the
-touched star.  A bistellar move hands over its f-vector from the move's
-closed form; a central retriangulation recounts the faces of its touched
-facets.  The full constructor stays the reference path.
+parent's caches (vertex index, vertices, f-vector, and for mixed labels the
+facet-order keys), edited only around the touched star.  A bistellar move
+hands over its f-vector from the move's closed form.  A central
+retriangulation of a simple tree with m facets hands over the closed forms
+of one 0-move and m - 1 one-moves, which it equals when the host is pure
+and each glued ridge lies in exactly two facets; any other central
+retriangulation recounts the faces of its touched facets.  The full
+constructor stays the reference path.
 """
 
 from __future__ import annotations
@@ -53,8 +57,12 @@ def label_key(v: Label):
 
 
 def face(vertices) -> Face:
-    """Canonical face: sorted tuple, duplicates rejected."""
-    vs = tuple(sorted(vertices, key=label_key))
+    """Canonical face: sorted tuple, duplicates rejected.  Anything that is
+    not an iterable of labels raises ArgumentOutOfRange."""
+    try:
+        vs = tuple(sorted(vertices, key=label_key))
+    except TypeError:
+        raise ArgumentOutOfRange(f"a face is an iterable of vertex labels, not {vertices!r}") from None
     for a, b in zip(vs, vs[1:]):
         if a == b:
             raise DuplicateVertexInFacet(f"repeated vertex {a!r} in face {vs!r}")
@@ -66,6 +74,15 @@ def _one_kind(labels) -> bool:
     then agrees with ``label_key``, and on faces of one size with
     ``_facet_order``, so sorts and bisections need no key function."""
     return len({isinstance(v, str) for v in labels}) <= 1
+
+
+def _canonical_faces(facets) -> list:
+    """The canonical faces of an iterable of vertex-label iterables, in
+    order; anything else raises ArgumentOutOfRange."""
+    try:
+        return [face(f) for f in facets]
+    except TypeError:
+        raise ArgumentOutOfRange(f"facets must be an iterable of faces, not {facets!r}") from None
 
 
 def face_key(f) -> tuple:
@@ -96,7 +113,7 @@ class SimplicialComplex:
     __slots__ = ("facets", "__dict__")
 
     def __init__(self, facets):
-        fs = sorted({face(f) for f in facets}, key=_facet_order)
+        fs = sorted(set(_canonical_faces(facets)), key=_facet_order)
         if not fs:
             raise EmptyInput("a complex needs at least one facet (use [()] for the empty-face complex)")
         # antichain reduction; same-size faces cannot contain one another, so
@@ -295,20 +312,30 @@ class SimplicialComplex:
     def relabel(self, mapping: dict) -> "SimplicialComplex":
         return SimplicialComplex([[mapping.get(v, v) for v in f] for f in self.facets])
 
+    @cached_property
+    def _facet_keys(self) -> dict:
+        """``_facet_order`` of each facet.  A successor on the keyed path of
+        ``_edited`` carries its parent's keys and computes only its own."""
+        return {f: _facet_order(f) for f in self.facets}
+
     def _edited(self, removed, added, f_vector: tuple | None = None) -> "SimplicialComplex":
         """The successor with the facets ``removed`` replaced by the new
         canonical faces ``added``, built by a local edit.
 
         The caller guarantees that ``removed`` are facets, that ``added`` are
         not faces, and that the result is an antichain.  The facet order is
-        that of the full constructor; when the result is pure and every
+        that of the full constructor.  When the result is pure and every
         label is of one kind, plain tuple order is that order, and the
-        facets and vertices are bisected without a key function.  The vertex
-        index and the vertices are edited around the touched vertices.  The
-        successor carries ``f_vector`` when the caller knows it (a bistellar
-        move does, from its closed form); otherwise, when the parent has an
-        f-vector, it carries a recount of the faces of the removed and added
-        facets against the kept facets.
+        facets and vertices are bisected without a key function.  Otherwise
+        the successor carries its parent's ``_facet_keys``, computes the keys
+        of the added facets only, and bisects the facets and the vertex
+        stars with a dict lookup as the key.  The vertex index and the
+        vertices are edited around the touched vertices.  The successor
+        carries ``f_vector`` when the caller knows it: a bistellar move knows
+        it from its closed form, and so does a central retriangulation of a
+        simple tree (see ``trees.central_retriangulation``).  Otherwise, when
+        the parent has an f-vector, it carries a recount of the faces of the
+        removed and added facets against the kept facets.
         """
         removed = set(removed)
         fs = list(self.facets)
@@ -316,9 +343,17 @@ class SimplicialComplex:
         size = len(fs[0])
         plain = (self.is_pure() and all(len(f) == size for f in added)
                  and _one_kind([*verts[:1], *verts[-1:], *(v for f in added for v in (f[0], f[-1]))]))
-        order, vorder = (None, None) if plain else (_facet_order, label_key)
-        for f in removed:
-            del fs[bisect_left(fs, f if plain else order(f), key=order)]
+        if plain:
+            order = vorder = keys = None
+            for f in removed:
+                del fs[bisect_left(fs, f)]
+        else:
+            keys = dict(self._facet_keys)
+            order, vorder = keys.__getitem__, label_key
+            for f in removed:
+                del fs[bisect_left(fs, keys[f], key=order)]
+                del keys[f]
+            keys.update((f, _facet_order(f)) for f in added)
         for f in added:
             insort(fs, f, key=order)
         out = SimplicialComplex.__new__(SimplicialComplex)
@@ -338,6 +373,8 @@ class SimplicialComplex:
                 del idx[v]
                 del verts[bisect_left(verts, v if plain else vorder(v), key=vorder)]
         out.__dict__.update(_vertex_to_facets=idx, vertices=tuple(verts))
+        if keys is not None:
+            out.__dict__["_facet_keys"] = keys
         if f_vector is not None:
             out.__dict__["f_vector"] = f_vector
         elif "f_vector" in self.__dict__:
@@ -349,8 +386,11 @@ class SimplicialComplex:
         of only the removed facets disappears and a face of only the added
         facets is new, unless a kept facet contains it.  Faces go by size, so
         a face with a lost subface is lost without a look at the stars.  It
-        serves central retriangulations, and it is the oracle of the
-        bistellar closed form in the tests."""
+        serves the central retriangulations that the closed form does not
+        cover: a ball given as a complex or a facet list, a hand-built
+        SimpleTree whose facets do not attach in their order, a glued ridge
+        in more than two facets, or a host that is not pure.  It is the
+        oracle of both closed forms in the tests."""
         def faces_of(facets):
             return {s for f in facets for k in range(1, len(f) + 1) for s in itertools.combinations(f, k)}
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, face, face_key, fresh_vertex
+from .complexes import SimplicialComplex, _canonical_faces, face, face_key, fresh_vertex
 from .errors import (
+    EmptyInput,
     NotABall,
     NotASphereLink,
     NotSimpleTree,
@@ -25,6 +26,7 @@ from .errors import (
     VertexCollision,
 )
 from .homology import is_homology_ball, is_homology_sphere
+from .vectors import _f_after_moves
 
 
 @dataclass(frozen=True)
@@ -75,16 +77,39 @@ def _attachment(g: tuple, verts: set, ridge_counts: dict):
     return new[0] if ridge_counts.get(ridge) == 1 else None
 
 
+def _ridge_counts(facets) -> dict:
+    """How many of the facets contain each ridge."""
+    counts: dict = {}
+    for f in facets:
+        _count_ridges(counts, f)
+    return counts
+
+
+def _attach_in_order(facets) -> tuple:
+    """(ridge counts, natural vertex order) of a facet list that is a simple
+    tree in its own order, by the attachment rule.  Raises NotSimpleTree
+    with the index of the first facet that does not attach."""
+    order = list(facets[0])
+    verts, counts = set(order), _count_ridges({}, facets[0])
+    for idx, f in enumerate(facets[1:], start=1):
+        new = _attachment(f, verts, counts)
+        if new is None:
+            raise NotSimpleTree(f"facet {idx} = {f!r} does not attach along a free ridge", index=idx)
+        _count_ridges(counts, f)
+        order.append(new)
+        verts.add(new)
+    return counts, tuple(order)
+
+
+def _free_ridges(counts: dict) -> list:
+    """The ridges counted once, or the empty face alone when there are none."""
+    return [r for r, c in counts.items() if c == 1] or [()]
+
+
 def tree_boundary(B: SimplicialComplex) -> SimplicialComplex:
     """Boundary of a pure full-dimensional subcomplex: ridges lying in exactly
     one facet, together with their faces."""
-    counts: dict = {}
-    for f in B.facets:
-        _count_ridges(counts, f)
-    bdry = [r for r, c in counts.items() if c == 1]
-    if not bdry:
-        return SimplicialComplex([()])
-    return SimplicialComplex(bdry)
+    return SimplicialComplex(_free_ridges(_ridge_counts(B.facets)))
 
 
 def validate_simple_tree(host: SimplicialComplex, ordered_facets) -> SimpleTree:
@@ -93,7 +118,7 @@ def validate_simple_tree(host: SimplicialComplex, ordered_facets) -> SimpleTree:
     Raises NotSimpleTree with the first offending index; emits the natural
     vertex ordering.
     """
-    facets = [face(f) for f in ordered_facets]
+    facets = _canonical_faces(ordered_facets)
     if not facets:
         raise NotSimpleTree("empty facet list", index=0)
     size = len(facets[0])
@@ -105,16 +130,7 @@ def validate_simple_tree(host: SimplicialComplex, ordered_facets) -> SimpleTree:
     if len(set(facets)) != len(facets):
         dup = max(i for i, f in enumerate(facets) if f in facets[:i])
         raise NotSimpleTree("repeated facet", index=dup)
-    order = list(facets[0])
-    verts, counts = set(order), _count_ridges({}, facets[0])
-    for idx, f in enumerate(facets[1:], start=1):
-        new = _attachment(f, verts, counts)
-        if new is None:
-            raise NotSimpleTree(f"facet {idx} = {f!r} does not attach along a free ridge", index=idx)
-        _count_ridges(counts, f)
-        order.append(new)
-        verts.add(new)
-    return SimpleTree(tuple(facets), host, tuple(order))
+    return SimpleTree(tuple(facets), host, _attach_in_order(facets)[1])
 
 
 def grow_simple_tree(host: SimplicialComplex, length: int, rng: random.Random) -> SimpleTree | None:
@@ -143,14 +159,32 @@ def central_retriangulation(K: SimplicialComplex, B, new_vertex=None) -> Simplic
     ``B`` may be a certified SimpleTree (a simple tree is a ball, so it is
     trusted), a complex, or a facet list; the latter two are verified to be
     homology balls over Q.
+
+    The result is a local edit of K (``SimplicialComplex._edited``) and
+    carries its f-vector.  A central retriangulation of a simple tree with m
+    facets is a 0-move on its first facet followed by m - 1 one-moves, one
+    per glued ridge (Walkup), so the f-vector is the sum of those bistellar
+    closed forms, checked against ``bistellar_h_effect`` once with m = 0 and
+    m - 1 times with m = 1.  That closed form needs a pure K, facets of B
+    that attach in their given order by the simple-tree rule, and every
+    glued ridge in exactly two facets of K: then the lost faces are exactly
+    the m facets and the m - 1 glued ridges.  Otherwise (a ball given as a
+    complex or a facet list, a hand-built SimpleTree that is not one, or a
+    glued ridge in more facets of K) the faces of the touched facets are
+    recounted by ``SimplicialComplex._edited_f_vector``.
     """
     if isinstance(B, SimpleTree):
-        ball = B.as_complex()
-    elif isinstance(B, SimplicialComplex):
-        ball = B
+        facets = _canonical_faces(B.facets)
+        if not facets:
+            raise EmptyInput("a simple tree needs at least one facet")
+        try:
+            counts = _attach_in_order(facets)[0]
+        except NotSimpleTree:  # a hand-built SimpleTree: trusted as a ball only
+            counts = None
     else:
-        ball = SimplicialComplex(B)
-    for f in ball.facets:
+        ball = B if isinstance(B, SimplicialComplex) else SimplicialComplex(B)
+        facets, counts = ball.facets, None
+    for f in facets:
         if f not in K.facets_containing(f):
             raise NotABall(f"{f!r} is not a facet of the ambient complex")
     if not isinstance(B, SimpleTree) and not is_homology_ball(ball):
@@ -159,7 +193,13 @@ def central_retriangulation(K: SimplicialComplex, B, new_vertex=None) -> Simplic
         new_vertex = fresh_vertex(K)
     if K.has_face((new_vertex,)):
         raise VertexCollision(f"vertex {new_vertex!r} already present")
-    return K._edited(ball.facets, [face(g + (new_vertex,)) for g in tree_boundary(ball).facets])
+    if counts is not None and K.is_pure() and all(
+        len(K.facets_containing(r)) == 2 for r, c in counts.items() if c == 2
+    ):
+        f = _f_after_moves(K.f_vector, [0] + [1] * (len(facets) - 1))
+    else:
+        f, counts = None, _ridge_counts(set(facets))
+    return K._edited(facets, [face(r + (new_vertex,)) for r in _free_ridges(counts)], f)
 
 
 def find_spanning_tree_in_link(

@@ -1,7 +1,8 @@
 """Face-count vector calculus: f/h/g transforms, Klee's generalized
 Dehn-Sommerville defects, fine and flag vectors of balanced complexes,
 Schenzel's corrected h-vector, short simplicial h-vectors, stacked-sphere
-face counts, and Macaulay's binomial growth machinery.
+face counts, the f- and h-vector effects of bistellar moves, and Macaulay's
+binomial growth machinery.
 
 All arithmetic is exact integer arithmetic; no floating point anywhere.
 """
@@ -14,7 +15,7 @@ from functools import cache
 from math import comb
 
 from .complexes import Coloring, SimplicialComplex
-from .errors import ArgumentOutOfRange, DimensionParity, TypeVectorMismatch
+from .errors import ArgumentOutOfRange, DimensionParity, IllegalMove, TypeVectorMismatch
 from .homology import BettiVector, euler_characteristic, sphere_euler
 
 
@@ -105,6 +106,39 @@ def _h_entries(f: tuple) -> tuple:
     """(h_0, ..., h_d) of the f-vector entries (f_-1, ..., f_{d-1}), by the
     transform rows cached per d; ``h_from_f`` without the vector types."""
     return tuple(sum(c * x for c, x in zip(row, f)) for row in _h_rows(len(f) - 1))
+
+
+def bistellar_h_effect(h: tuple, m: int, d: int) -> tuple:
+    """h-vector after an m-move: +1 on m < i < d-m, -1 on d-m <= i <= m."""
+    out = list(h)
+    for i in range(d + 1):
+        if m < i < d - m:
+            out[i] += 1
+        elif d - m <= i <= m:
+            out[i] -= 1
+    return tuple(out)
+
+
+def _f_after_moves(f: tuple, ms) -> tuple:
+    """The f-vector (f_-1, ..., f_{d-1}) of a pure complex after legal
+    m-moves, for each m in ``ms`` in turn, by the closed form.  An m-move
+    (F, G) has |F| = d - m and |G| = m + 1; the faces F u t with t a proper
+    subset of G go, C(m + 1, j) of size d - m + j, and the faces G u t' with
+    t' a proper subset of F come, C(d - m, i) of size m + 1 + i.  The result
+    is checked against ``bistellar_h_effect``; a mismatch raises
+    IllegalMove."""
+    d = len(f) - 1
+    h, out = _h_entries(f), list(f)
+    for m in ms:
+        for j in range(m + 1):
+            out[d - m + j] -= comb(m + 1, j)
+        for i in range(d - m):
+            out[m + 1 + i] += comb(d - m, i)
+        h = bistellar_h_effect(h, m, d)
+    out = tuple(out)
+    if _h_entries(out) != h:
+        raise IllegalMove(f"h-vector effect mismatch: got {_h_entries(out)}, expected {h}")
+    return out
 
 
 def f_from_h(hv: HVector) -> FVector:

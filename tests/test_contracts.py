@@ -38,6 +38,35 @@ def test_label_key_accepts_only_int_and_str(bad):
         fe.SimplicialComplex([[bad, 2], [2, 3]])
 
 
+STACKED7_3 = fe.stacked_sphere(7, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: STACKED7_3.has_face(5),
+    lambda: STACKED7_3.link(5),
+    lambda: STACKED7_3.closed_star(None),
+    lambda: STACKED7_3.facets_containing(7),
+    lambda: fe.face(2.5),
+    lambda: fe.BistellarMove(5, (1,)),
+    lambda: fe.BistellarMove((1,), None),
+    lambda: fe.SimplicialComplex([5]),
+    lambda: fe.SimplicialComplex([[1, 2], 3]),
+    lambda: fe.SimplicialComplex(5),
+    lambda: fe.SimplicialComplex(None),
+    lambda: fe.validate_simple_tree(STACKED7_3, 5),
+    lambda: fe.validate_simple_tree(STACKED7_3, [STACKED7_3.facets[0], 5]),
+    lambda: fe.central_retriangulation(STACKED7_3, None, "w1"),
+    lambda: fe.central_retriangulation(STACKED7_3, [None], "w1"),
+], ids=[
+    "has_face", "link", "closed_star", "facets_containing", "face", "move-F", "move-G", "complex-facet",
+    "complex-second-facet", "complex-int", "complex-none", "tree-int", "tree-facet", "retriangulation-none",
+    "retriangulation-facet",
+])
+def test_a_face_or_facet_list_that_is_not_iterable_is_out_of_range(call):
+    with pytest.raises(ArgumentOutOfRange):
+        call()
+
+
 def test_mixed_int_and_str_labels_still_order():
     assert sorted(["b", 3, "a", 1], key=label_key) == [1, 3, "a", "b"]
     assert fe.face(["b", 3, "a", 1]) == (1, 3, "a", "b")

@@ -1,11 +1,13 @@
 """Successor complexes by local edit.
 
 ``apply_bistellar`` and ``central_retriangulation`` build their result from
-the parent complex by a local edit that carries the parent's caches; a
-bistellar move carries its f-vector from the move's closed form.  Every step
-of a random legal move sequence is checked here against the full constructor
-``SimplicialComplex(K.facets)``, which stays the reference path, and the
-closed form against the local recount ``_edited_f_vector``.
+the parent complex by a local edit that carries the parent's caches (the
+facet-order keys too, for mixed labels); a bistellar move carries its
+f-vector from the move's closed form, and a central retriangulation of a
+simple tree from the closed forms of one 0-move and m - 1 one-moves.  Every
+step of a random legal move sequence is checked here against the full
+constructor ``SimplicialComplex(K.facets)``, which stays the reference path,
+and both closed forms against the local recount ``_edited_f_vector``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from faceenum import complexes
 from faceenum.complexes import SimplicialComplex, face, face_key, fresh_vertex
 from faceenum.constructions import BistellarMove, apply_bistellar, check_move
 from faceenum.errors import IllegalMove
-from faceenum.trees import central_retriangulation, grow_simple_tree
+from faceenum.trees import SimpleTree, central_retriangulation, grow_simple_tree, validate_simple_tree
+from faceenum.vectors import _f_after_moves
 
 
 def _str_labels(K):
@@ -214,7 +217,8 @@ def _random_chain(K, steps, rng):
 def test_move_chains_of_every_m_equal_a_fresh_build(seed_name, monkeypatch):
     """Chains of m-moves for every m, reverse 0-moves included, on int, str
     and mixed labels.  One-kind labels take the keyless order path, which
-    calls no ``_facet_order``; mixed labels take the keyed one."""
+    calls no ``_facet_order``; mixed labels take the keyed one, which after
+    the first move keys only the |F| added facets."""
     keyed = []
     order = complexes._facet_order
     monkeypatch.setattr(complexes, "_facet_order", lambda f: keyed.append(f) or order(f))
@@ -222,8 +226,10 @@ def test_move_chains_of_every_m_equal_a_fresh_build(seed_name, monkeypatch):
     K = SEEDS[seed_name]()
     ms, moves_keyed = set(), 0
     keyed.clear()
-    for K, move, K2 in _random_chain(K, 40, rng):
+    for i, (K, move, K2) in enumerate(_random_chain(K, 40, rng)):
         moves_keyed += bool(keyed)
+        if i and keyed:
+            assert len(keyed) == len(move.F)
         _assert_like_fresh(K2, [*K.facets_containing(move.F), *K2.facets_containing(move.G)])
         keyed.clear()  # the fresh build sorts by key
         ms.add(move.m)
@@ -240,3 +246,150 @@ def test_closed_form_f_equals_the_local_recount(seed_name, steps, seed):
         added = set(K2.facets) - set(K.facets)
         assert removed == set(check_move(K, move))
         assert K2.__dict__["f_vector"] == K._edited_f_vector(removed, added, K.d + 1)
+
+
+# -- central retriangulations carry f by the closed form -----------------------
+
+
+@pytest.fixture
+def recounts(monkeypatch):
+    """The parents whose successor f-vector ``_edited_f_vector`` recounted."""
+    seen = []
+    recount = SimplicialComplex._edited_f_vector
+
+    def counting(self, *args):
+        seen.append(self)
+        return recount(self, *args)
+
+    monkeypatch.setattr(SimplicialComplex, "_edited_f_vector", counting)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SEEDS)), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_tree_retriangulation_f_equals_the_recount_and_a_fresh_build(seed_name, length, seed):
+    rng = random.Random(seed)
+    K = SEEDS[seed_name]()
+    tree = grow_simple_tree(K, length, rng)
+    if tree is None:
+        return
+    K2 = central_retriangulation(K, tree)
+    w = (set(K2.vertices) - set(K.vertices)).pop()
+    added = K2.facets_containing((w,))
+    assert K2.__dict__["f_vector"] == K._edited_f_vector(set(tree.facets), added, K.d + 1)
+    assert K2.f_vector == SimplicialComplex(K2.facets).f_vector
+    _assert_like_fresh(K2, [*tree.facets, *added])
+
+
+@pytest.mark.parametrize("seed_name", sorted(SEEDS))
+def test_tree_retriangulations_count_no_face(seed_name, recounts, face_enumerations):
+    """Every glued ridge of a tree in these pseudomanifolds lies in two
+    facets, so each retriangulation takes the closed form."""
+    rng = random.Random(seed_name)
+    K = SEEDS[seed_name]()
+    K.f_vector
+    face_enumerations.clear()
+    lengths = []
+    for length in [*range(1, 7)] * 2:
+        tree = grow_simple_tree(K, length, rng)
+        if tree is None:
+            continue
+        K2 = central_retriangulation(K, tree)
+        assert K2.f_vector == _f_after_moves(K.f_vector, [0] + [1] * (length - 1))
+        lengths.append(length)
+        K = K2
+    assert recounts == [] and face_enumerations == []
+    assert set(lengths) == set(range(1, 7))
+
+
+def test_a_glued_ridge_in_three_facets_takes_the_recount(recounts):
+    """A fin on the glued ridge of a two-facet tree keeps that ridge a face,
+    which the closed form would count as lost."""
+    S = fe.stacked_sphere(8, 4)
+    f1 = S.facets[0]
+    f2 = next(g for g in S.facets if len(set(f1) & set(g)) == 3)
+    ridge = face(set(f1) & set(f2))
+    K = SimplicialComplex([*S.facets, ridge + ("fin",)])
+    K.f_vector
+    K2 = central_retriangulation(K, validate_simple_tree(K, [f1, f2]), "w1")
+    assert recounts == [K]
+    assert K2.has_face(ridge)
+    assert K2.f_vector == SimplicialComplex(K2.facets).f_vector
+    closed = _f_after_moves(K.f_vector, [0, 1])
+    assert K2.f_vector == (*closed[:3], closed[3] + 1, *closed[4:])
+
+
+@pytest.mark.parametrize("facets", [
+    [(1, 2, 3), (1, 3, 4), (1, 2, 4), (2, 5, 6)],  # a cone on a triangle and a triangle pinched to it
+    [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 2, 5)],  # a vertex star: the last facet closes a cycle
+])
+def test_a_hand_built_simple_tree_that_is_no_tree_takes_the_recount(facets, recounts):
+    """A SimpleTree built without ``validate_simple_tree`` is trusted as a
+    ball but not as a tree: the first is the star of its vertex 1 with a
+    pinched triangle, whose ridge counts alone (three ridges in two facets,
+    none in more, six vertices) look like a tree's."""
+    K = SimplicialComplex(facets)
+    tree = SimpleTree(tuple(facets), K, tuple(sorted({v for f in facets for v in f})))
+    K.f_vector
+    K2 = central_retriangulation(K, tree, "w1")
+    assert recounts == [K]
+    assert 1 not in K2.vertices  # the interior vertex is gone; the closed form counts no vertex lost
+    assert K2.f_vector == SimplicialComplex(K2.facets).f_vector
+    assert K2.f_vector != _f_after_moves(K.f_vector, [0, 1, 1, 1])
+
+
+# -- mixed labels carry their facet-order keys ----------------------------------
+
+
+def _assert_keys_carried(K):
+    assert K.__dict__["_facet_keys"] == {f: complexes._facet_order(f) for f in K.facets}
+
+
+def test_sibling_successors_of_one_mixed_parent_equal_fresh_builds():
+    K = SEEDS["mixed_kl11_2"]()
+    K.f_vector
+    keys = dict(K._facet_keys)
+    rng = random.Random(7)
+    tree = grow_simple_tree(K, 4, rng)
+    children = [
+        apply_bistellar(K, BistellarMove(K.facets[0], ("w1",))),
+        apply_bistellar(K, BistellarMove(K.facets[-1], (99,))),
+        central_retriangulation(K, tree, "w1"),
+        *(apply_bistellar(K, move) for move in _one_moves(K)[:2]),
+    ]
+    for K2 in children:
+        R = SimplicialComplex(K2.facets)
+        assert (K2.facets, K2.vertices, K2._vertex_to_facets) == (R.facets, R.vertices, R._vertex_to_facets)
+        _assert_keys_carried(K2)
+    assert K._facet_keys == keys  # no sibling edited its parent's keys
+    assert children[0].facets != children[1].facets
+
+
+def test_a_200_step_mixed_chain_equals_a_fresh_build(monkeypatch):
+    """0-moves with int and str vertices and tree retriangulations, each
+    step checked against the full constructor; after the first step, a step
+    computes the order key of its added facets only."""
+    keyed = []
+    order = complexes._facet_order
+    monkeypatch.setattr(complexes, "_facet_order", lambda f: keyed.append(f) or order(f))
+    rng = random.Random(200)
+    K = SEEDS["mixed_stacked9_5"]()
+    K.f_vector
+    K._facet_keys
+    kinds = set()
+    for _ in range(200):
+        keyed.clear()
+        tree = grow_simple_tree(K, rng.randint(1, 6), rng) if rng.random() < 0.5 else None
+        if tree is not None:
+            K2 = central_retriangulation(K, tree)
+            removed = tree.facets
+        else:
+            removed = [rng.choice(K.facets)]
+            K2 = apply_bistellar(K, BistellarMove(removed[0], (_fresh_label(K, rng),)))
+        added = set(K2.facets) - set(K.facets)
+        assert len(keyed) == len(added) and set(keyed) == added
+        kinds.add((tree is None, len({type(v) for f in added for v in f})))
+        _assert_like_fresh(K2, [*removed, *added])
+        _assert_keys_carried(K2)
+        K = K2
+    assert len(kinds) == 4, kinds
