@@ -22,29 +22,35 @@ otherwise; they never build one.  Links of links need no second walk, since
 lk_{lk rho}(sigma) = lk_K(rho u sigma): a link is a homology manifold without
 boundary exactly when every face strictly containing rho has a sphere link.
 
-Each link is decided in five steps: from its star size, else counted, else
-by a duality certificate, else by a collapse certificate, else by ranks.
-The walk goes from the largest faces down, so the rows above a face exist
-when it is classified.  In a pure complex no link of a facet or a ridge is
-built: a facet's link is S^-1, and a ridge in 1, 2 or more facets has a
-point, S^0 or a bad link.  Any other link of dimension <= 1 is a graph, and
-its Betti numbers are counts (components, and E - V + components).  A
-2-dimensional link of a pure complex with no bad row above it is a surface,
-possibly with boundary; it is a sphere when closed with chi = 2, a ball when
-a disk (or RP^2 over a field of odd or zero characteristic), and bad
-otherwise.  A link L of dimension m = 3 or 4 of a pure complex with only
-sphere rows above it is a closed homology m-manifold, since those rows are
-the links of L.  Its 2-skeleton certifies it connected with H_1(L; Z) = 0
-when a spanning tree and the triangles make every edge null-homotopic.  Then
-L is orientable over every field and Poincare duality (Munkres, Elements of
-Algebraic Topology, section 65) gives b_{m-1} = b_1 = 0: L is a homology
-3-sphere, or a homology 4-sphere when chi(L) = 2.  Every other link is
-collapsed greedily.  If it collapses to one vertex it is contractible, a
-ball.  If it does once one open facet F of dimension m = dim K - |rho| is
-removed, then by excision its reduced homology is H(F, dF), that of S^m, over
-every field.  Only the links where the collapse gets stuck (bad links, and
-acyclic ones such as the dunce hat) are ranked.  ``betti`` of a whole complex
-always ranks.
+Each link is built once, in one pass over the facets: a face rho of a
+facet f and its complement f - rho, a facet of lk rho, sit at the same place
+in the k-subsets of f and the reversed (|f| - k)-subsets.  Each link is then decided in five steps: from
+its star size, else counted, else by a duality certificate, else by a
+collapse certificate, else by ranks.  The walk goes from the largest faces
+down, so the rows above a face exist when it is classified.  In a pure
+complex a facet's link is S^-1, and a ridge in 1, 2 or more facets has a
+point, S^0 or a bad link.  Below only sphere rows, a 1-dimensional link has
+two edges at each vertex, so it is a union of cycles: a sphere when one walk
+covers every edge, bad and disconnected otherwise (the cycle rule).  Below
+only sphere rows, a 2-dimensional link is a closed surface, each edge on two
+triangles, so chi = V - F/2 and only connectivity is left to find: a sphere
+when connected with chi = 2, a ball when RP^2 over a field of odd or zero
+characteristic, and bad otherwise (the closed-surface rule).  Below a ball
+row and no bad row, it is a surface with boundary, a ball when a disk.  Any
+other link of dimension <= 1 is a graph, and its Betti numbers are counts
+(components, and E - V + components).  A link L of dimension m = 3 or 4 of
+a pure complex below only sphere rows is a closed homology m-manifold, since
+those rows are the links of L.  Its 2-skeleton certifies it connected with
+H_1(L; Z) = 0 when a spanning tree and the triangles make every edge
+null-homotopic.  Then L is orientable over every field and Poincare duality
+(Munkres, Elements of Algebraic Topology, section 65) gives
+b_{m-1} = b_1 = 0: L is a homology 3-sphere, or a homology 4-sphere when
+chi(L) = 2.  Every other link is collapsed greedily.  If it collapses to
+one vertex it is contractible, a ball.  If it does once one open facet F of
+dimension m = dim K - |rho| is removed, then by excision its reduced
+homology is H(F, dF), that of S^m, over every field.  Only the links where
+the collapse gets stuck (bad links, and acyclic ones such as the dunce hat)
+are ranked.  ``betti`` of a whole complex always ranks.
 
 The construction layer (trees, constructions, refit, catalog) runs its
 homology checks over Q; only the recognition predicates take a field.
@@ -358,69 +364,66 @@ def _link_census(K: SimplicialComplex, field: FieldSpec) -> tuple:
 
 
 def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
-    """The census walk.  Every nonempty face is classified from its star,
-    from the largest down, so the rows above a face exist when it is
-    classified; the rows come out in ``K.faces()`` order.
-
-    When K is pure, a facet or a ridge is classified by its star size alone,
-    with no link built: a facet's link is S^-1, and a ridge's link is one
-    point per facet on it, a ball for one point, S^0 for two and bad for
-    more.  Any other link of dimension <= 1 is a graph, and its homology is
-    counting.  When K is pure and no row above rho is bad, the 2-dimensional
-    link lk rho is a surface, possibly with boundary: each of its edges lies
-    in one or two triangles (the ridge rows) and each vertex link is a path
-    or a cycle.  Connectivity, chi and the boundary then decide it; only RP^2
-    depends on the field.  Any other 2-dimensional link is ranked.  When K
-    is pure and every row above rho is a sphere, a link of dimension 3 or 4
-    is a closed homology manifold and gets the duality certificate.  Links
-    it does not decide are collapsed, and ranked when the collapse gets stuck.
+    """The census walk.  One pass over the facets builds every link: for a
+    facet f and each size k, the k-subsets of f zipped with the reversed
+    (|f| - k)-subsets, both in ``combinations`` order, pair each face rho of
+    f with f - rho, a facet of lk rho, so the links come out in
+    ``K.faces()`` order.  The faces are then classified from the largest
+    down, so the rows above a face exist when it is classified.  When K is
+    pure, facets and ridges are classified by star size; below only sphere
+    rows, a 1-dimensional link is a union of cycles (the cycle rule) and a
+    2-dimensional link a closed surface with chi = V - F/2 (the
+    closed-surface rule), and a 3- or 4-dimensional link gets the duality
+    certificate.  A 2-dimensional link below a ball row and no bad row is a
+    surface with boundary.  Any other link of dimension <= 1 is counted; the
+    rest are collapsed, and ranked when the collapse gets stuck.
     """
     d = K.dim
-    low = max(d - 2, 1)
-    stars: dict = {}  # face with >= low vertices -> the facets containing it
+    links: dict = {}  # face -> the facets of its link, then its row; in K.faces() order
+    by_size = [[] for _ in range(d + 2)]  # the faces of each size
+    combinations = itertools.combinations
     for f in K.facets:
-        for k in range(low, len(f) + 1):
-            for s in itertools.combinations(f, k):
-                stars.setdefault(s, []).append(f)
-    faces = [rho for rho in K.faces() if rho]
-    small = sorted((rho for rho in faces if len(rho) < low), key=len, reverse=True)
+        n = len(f)
+        subsets = [[*combinations(f, k)] for k in range(n + 1)]
+        for k in range(1, n + 1):
+            for rho, lk in zip(subsets[k], reversed(subsets[n - k])):
+                link = links.get(rho)
+                if link is None:
+                    links[rho] = [lk]
+                    by_size[k].append(rho)
+                else:
+                    link.append(lk)
     pure = K.is_pure()
-    surfaces = pure and d - 2 >= 1
+    unclosed = set()  # faces of sizes d - 4 to d - 1 below a ball or bad row
     spoiled = set()  # faces of size d - 2 below a bad row
-    unclosed = set()  # faces of size d - 3 or d - 4 below a ball or bad row
-    rows = {}
-    for rho in itertools.chain(sorted(stars, key=len, reverse=True), small):
-        star = stars[rho] if len(rho) >= low else K.facets_containing(rho)
-        if pure and len(rho) > d:  # a facet
-            row = _LinkRow(rho, "sphere", True)
-        elif pure and len(rho) == d:  # a ridge
-            n = len(star)
-            row = _LinkRow(rho, "ball" if n == 1 else "sphere" if n == 2 else "bad", n == 1)
-        elif surfaces and len(rho) == d - 2 and rho not in spoiled:
-            row = _LinkRow(rho, *_surface_class(_star_link(rho, star), field))
-        else:
-            link = _star_link(rho, star)
-            m = d - len(rho)
-            if max(map(len, link)) <= 2:
-                row = _link_row(rho, _graph_betti(link, field), d)
-            elif pure and m in (3, 4) and rho not in unclosed and _duality_class(link, m):
+    for k in range(d + 1, 0, -1):
+        m = d - k if pure else None  # the dimension of each link; None: mixed
+        for rho in by_size[k]:
+            link = links[rho]
+            if m == -1:  # a facet
                 row = _LinkRow(rho, "sphere", True)
+            elif m == 0:  # a ridge
+                n = len(link)
+                row = _LinkRow(rho, "ball" if n == 1 else "sphere" if n == 2 else "bad", n == 1)
+            elif m == 1 and rho not in unclosed:
+                row = _LinkRow(rho, "sphere", True) if _one_cycle(link) else _LinkRow(rho, "bad", False)
+            elif m == 2 and rho not in unclosed:
+                row = _LinkRow(rho, *_closed_surface_class(link, field))
+            elif m == 2 and rho not in spoiled:
+                row = _LinkRow(rho, *_surface_class(link))
+            elif m in (3, 4) and rho not in unclosed and _duality_class(link, m):
+                row = _LinkRow(rho, "sphere", True)
+            elif max(map(len, link)) <= 2:
+                row = _link_row(rho, _graph_betti(link, field), d)
             else:
                 row = _collapsed_or_ranked_row(rho, link, d, field)
-        if surfaces and row.cls == "bad" and len(rho) > d - 2:
-            spoiled.update(itertools.combinations(rho, d - 2))
-        if pure and row.cls != "sphere":
-            for k in (d - 3, d - 4):
-                if 0 < k < len(rho):
-                    unclosed.update(itertools.combinations(rho, k))
-        rows[rho] = row
-    return tuple(rows[rho] for rho in faces)
-
-
-def _star_link(rho: tuple, star) -> list:
-    """The facets of lk rho, from the facets containing rho."""
-    rs = set(rho)
-    return [tuple(v for v in f if v not in rs) for f in star]
+            if pure and row.cls != "sphere":
+                if row.cls == "bad" and m < 2 and d >= 3:
+                    spoiled.update(combinations(rho, d - 2))
+                for j in range(max(d - 4, 1), min(k, d)):
+                    unclosed.update(combinations(rho, j))
+            links[rho] = row
+    return tuple(links.values())
 
 
 def _link_row(rho: tuple, b: BettiVector, dim: int) -> _LinkRow:
@@ -613,25 +616,51 @@ def _graph_betti(link: list, field: FieldSpec) -> BettiVector:
     return BettiVector(field, (0, c - 1, len(edges) - len(vertices) + c))
 
 
-def _surface_class(triangles: list, field: FieldSpec) -> tuple:
-    """(class, connected) of a link given by its triangles, when it is a
-    surface, possibly with boundary: no row above its face is bad."""
-    edges: dict = {}
-    for a, b, c in triangles:
-        for e in ((a, b), (a, c), (b, c)):
-            edges[e] = edges.get(e, 0) + 1
+def _one_cycle(edges: list) -> bool:
+    """Whether a graph with two edges at each vertex, given by its edges, is
+    one cycle: a walk from one edge covers every edge."""
+    nbrs: dict = {}
+    for a, b in edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    start, v = edges[0]
+    prev, walked = start, 1
+    while v != start:
+        x, y = nbrs[v]
+        prev, v = v, y if x == prev else x
+        walked += 1
+    return walked == len(edges)
+
+
+def _closed_surface_class(triangles: list, field: FieldSpec) -> tuple:
+    """(class, connected) of a closed surface, possibly disconnected, given by
+    its triangles: each edge lies in two of them, so E = 3F/2 and
+    chi = V - F/2.  One sweep in facet order grows the component of the
+    first triangle, and mostly reaches every vertex, since a link's triangles
+    on one vertex tend to be near in facet order; union-find decides when it
+    does not."""
     vertices = {v for t in triangles for v in t}
-    components = _components(vertices, edges)
-    if components > 1:
+    reached = set(triangles[0])
+    for t in triangles:
+        if not reached.isdisjoint(t):
+            reached.update(t)
+    if len(reached) < len(vertices) and _components(vertices, (e for t in triangles for e in (t[:2], t[1:]))) > 1:
         return "bad", False
-    chi = len(vertices) - len(edges) + len(triangles)
-    if 1 in edges.values():  # with boundary: only the disk is acyclic
-        return ("ball" if chi == 1 else "bad"), True
-    if chi == 2:
-        return "sphere", True
+    chi = len(vertices) - len(triangles) // 2
     if chi == 1:  # RP^2: acyclic unless the field has characteristic 2
         return ("bad" if field.p == 2 else "ball"), True
-    return "bad", True
+    return ("sphere" if chi == 2 else "bad"), True
+
+
+def _surface_class(triangles: list) -> tuple:
+    """(class, connected) of a surface with boundary, given by its triangles:
+    its face lies below a ball row and no bad row.  Only the disk, with
+    chi = 1, is acyclic."""
+    edges = {e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))}
+    vertices = {v for t in triangles for v in t}
+    if _components(vertices, edges) > 1:
+        return "bad", False
+    return ("ball" if len(vertices) - len(edges) + len(triangles) == 1 else "bad"), True
 
 
 def is_homology_sphere(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:

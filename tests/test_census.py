@@ -1,9 +1,13 @@
-"""Differential tests: the link census against the per-face loops it replaced.
+"""Differential tests: the link census against the per-face loops it replaced,
+and against the star walk it replaced.
 
 The oracle functions below are the recognition loops as they were before the
 census: each builds every link again and stops at the first failure.  The
 census-backed predicates must give the same verdicts, witnesses and
-boundaries, over Q and over GF(2).
+boundaries, over Q and over GF(2).  ``star_walk_rows`` is the census as it
+was before every link was built in one pass over the facets: it takes each
+star from a dict or from ``K.facets_containing`` and filters the link out of
+it, and its rows must equal the census's, tuple for tuple.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from conftest import rp2_six
 from faceenum import homology
 from faceenum.audit import _links_closed
 from faceenum.catalog import s2xs2_two_neighborly
-from faceenum.homology import _link_census
+from faceenum.homology import (
+    _collapsed_or_ranked_row, _components, _duality_class, _graph_betti, _link_census, _link_row, _LinkRow,
+)
 from test_successor_edit import _mixed_labels
 
 FIELDS = (fe.RATIONALS, fe.GF2, fe.FieldSpec(3))
@@ -88,6 +94,97 @@ def old_links_closed(K, field, k):
         if not ok or boundary is not None or not L.is_connected():
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the star walk
+
+
+def star_walk_rows(K, field):
+    """The census walk.  Every nonempty face is classified from its star,
+    from the largest down, so the rows above a face exist when it is
+    classified; the rows come out in ``K.faces()`` order.
+
+    When K is pure, a facet or a ridge is classified by its star size alone,
+    with no link built: a facet's link is S^-1, and a ridge's link is one
+    point per facet on it, a ball for one point, S^0 for two and bad for
+    more.  Any other link of dimension <= 1 is a graph, and its homology is
+    counting.  When K is pure and no row above rho is bad, the 2-dimensional
+    link lk rho is a surface, possibly with boundary: each of its edges lies
+    in one or two triangles (the ridge rows) and each vertex link is a path
+    or a cycle.  Connectivity, chi and the boundary then decide it; only RP^2
+    depends on the field.  Any other 2-dimensional link is ranked.  When K
+    is pure and every row above rho is a sphere, a link of dimension 3 or 4
+    is a closed homology manifold and gets the duality certificate.  Links
+    it does not decide are collapsed, and ranked when the collapse gets stuck.
+    """
+    d = K.dim
+    low = max(d - 2, 1)
+    stars: dict = {}  # face with >= low vertices -> the facets containing it
+    for f in K.facets:
+        for k in range(low, len(f) + 1):
+            for s in itertools.combinations(f, k):
+                stars.setdefault(s, []).append(f)
+    faces = [rho for rho in K.faces() if rho]
+    small = sorted((rho for rho in faces if len(rho) < low), key=len, reverse=True)
+    pure = K.is_pure()
+    surfaces = pure and d - 2 >= 1
+    spoiled = set()  # faces of size d - 2 below a bad row
+    unclosed = set()  # faces of size d - 3 or d - 4 below a ball or bad row
+    rows = {}
+    for rho in itertools.chain(sorted(stars, key=len, reverse=True), small):
+        star = stars[rho] if len(rho) >= low else K.facets_containing(rho)
+        if pure and len(rho) > d:  # a facet
+            row = _LinkRow(rho, "sphere", True)
+        elif pure and len(rho) == d:  # a ridge
+            n = len(star)
+            row = _LinkRow(rho, "ball" if n == 1 else "sphere" if n == 2 else "bad", n == 1)
+        elif surfaces and len(rho) == d - 2 and rho not in spoiled:
+            row = _LinkRow(rho, *_star_walk_surface_class(_star_link(rho, star), field))
+        else:
+            link = _star_link(rho, star)
+            m = d - len(rho)
+            if max(map(len, link)) <= 2:
+                row = _link_row(rho, _graph_betti(link, field), d)
+            elif pure and m in (3, 4) and rho not in unclosed and _duality_class(link, m):
+                row = _LinkRow(rho, "sphere", True)
+            else:
+                row = _collapsed_or_ranked_row(rho, link, d, field)
+        if surfaces and row.cls == "bad" and len(rho) > d - 2:
+            spoiled.update(itertools.combinations(rho, d - 2))
+        if pure and row.cls != "sphere":
+            for k in (d - 3, d - 4):
+                if 0 < k < len(rho):
+                    unclosed.update(itertools.combinations(rho, k))
+        rows[rho] = row
+    return tuple(rows[rho] for rho in faces)
+
+
+def _star_link(rho, star):
+    """The facets of lk rho, from the facets containing rho."""
+    rs = set(rho)
+    return [tuple(v for v in f if v not in rs) for f in star]
+
+
+def _star_walk_surface_class(triangles, field):
+    """(class, connected) of a link given by its triangles, when it is a
+    surface, possibly with boundary: no row above its face is bad."""
+    edges: dict = {}
+    for a, b, c in triangles:
+        for e in ((a, b), (a, c), (b, c)):
+            edges[e] = edges.get(e, 0) + 1
+    vertices = {v for t in triangles for v in t}
+    components = _components(vertices, edges)
+    if components > 1:
+        return "bad", False
+    chi = len(vertices) - len(edges) + len(triangles)
+    if 1 in edges.values():  # with boundary: only the disk is acyclic
+        return ("ball" if chi == 1 else "bad"), True
+    if chi == 2:
+        return "sphere", True
+    if chi == 1:  # RP^2: acyclic unless the field has characteristic 2
+        return ("bad" if field.p == 2 else "ball"), True
+    return "bad", True
 
 
 # ---------------------------------------------------------------------------
@@ -391,24 +488,154 @@ def test_census_rows_match_ranked_links_on_random_non_pure_complexes(K, field):
 
 STAR_SIZED = [("kl13_2", fe.kuhnel_lassmann(13, 2)), ("stacked20_5", fe.stacked_sphere(20, 5))]
 
+# the classifiers that take a link's facets first, and those that take rho
+LINK_CLASSIFIERS = ("_one_cycle", "_closed_surface_class", "_surface_class", "_duality_class",
+                    "_collapse_class", "_graph_betti")
+FACE_CLASSIFIERS = ("_link_row", "_collapsed_or_ranked_row")
+
+
+def _spy(monkeypatch, name):
+    """The first arguments, as tuples, of each call to a classifier."""
+    calls, real = [], getattr(homology, name)
+
+    def spy(link, *args):
+        calls.append(tuple(link))
+        return real(link, *args)
+
+    monkeypatch.setattr(homology, name, spy)
+    return calls
+
 
 @pytest.mark.parametrize("name,K", STAR_SIZED, ids=[n for n, _ in STAR_SIZED])
 def test_census_builds_no_link_of_a_facet_or_a_ridge(monkeypatch, name, K):
     """In a pure complex the star size alone gives the rows of the facets
-    (dim K + 1 vertices) and the ridges (dim K vertices)."""
-    sizes = []
-    real = homology._star_link
-
-    def counting_star_link(rho, star):
-        sizes.append(len(rho))
-        return real(rho, star)
-
-    monkeypatch.setattr(homology, "_star_link", counting_star_link)
-    rows = _link_census(_fresh(K), fe.RATIONALS)
+    (dim K + 1 vertices) and the ridges (dim K vertices): no classifier sees
+    them.  Every link comes out of the pass over the facets, so the census
+    never asks K for the facets containing a face."""
+    K = _fresh(K)
+    calls = {classifier: _spy(monkeypatch, classifier) for classifier in LINK_CLASSIFIERS + FACE_CLASSIFIERS}
+    monkeypatch.setattr(fe.SimplicialComplex, "facets_containing", lambda self, rho: pytest.fail("asked for a star"))
+    rows = _link_census(K, fe.RATIONALS)
+    # a link facet of a face rho has dim K + 1 - |rho| vertices
+    sizes = [K.dim + 1 - len(link[0]) for c in LINK_CLASSIFIERS for link in calls[c]]
+    sizes += [len(rho) for c in FACE_CLASSIFIERS for rho in calls[c]]
     assert sizes and max(sizes) < K.dim
     assert sum(len(row.face) >= K.dim for row in rows) == K.f_vector[K.dim] + K.f_vector[K.dim + 1]
-    monkeypatch.setattr(homology, "_star_link", real)
+    monkeypatch.undo()
     _assert_rows_match_oracle(K, fe.RATIONALS)
+
+
+# ---------------------------------------------------------------------------
+# the census against the star walk it replaced
+
+
+def _assert_rows_match_star_walk(K, field):
+    assert _link_census(_fresh(K), field) == star_walk_rows(_fresh(K), field)
+
+
+def _str_labels(K):
+    return K.relabel({v: f"v{v}" for v in K.vertices})
+
+
+# INPUTS holds the suspensions of CLOSED_NON_SPHERES
+STAR_WALK_INPUTS = [
+    *INPUTS,
+    *CERTIFIED,
+    *((f"non-pure-{name}", fe.SimplicialComplex([*fe.stacked_sphere(8, 5).facets, *facets]))
+      for name, facets in NON_PURE.items()),
+    *((f"kl{n}_3-{labels.__name__}", labels(fe.kuhnel_lassmann(n, 3)))
+      for n in (15, 17) for labels in (_fresh, _str_labels, _mixed_labels)),
+]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name,K", STAR_WALK_INPUTS, ids=[n for n, _ in STAR_WALK_INPUTS])
+def test_census_rows_equal_the_star_walk(name, K, field):
+    _assert_rows_match_star_walk(K, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_complexes(), st.sampled_from(FIELDS))
+def test_census_rows_equal_the_star_walk_on_random_complexes(K, field):
+    _assert_rows_match_star_walk(K, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_complexes((4, 5), _suspension), st.sampled_from(FIELDS))
+def test_census_rows_equal_the_star_walk_on_random_3_and_4_complexes(K, field):
+    _assert_rows_match_star_walk(K, field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(non_pure_complexes(), st.sampled_from(FIELDS))
+def test_census_rows_equal_the_star_walk_on_random_non_pure_complexes(K, field):
+    _assert_rows_match_star_walk(K, field)
+
+
+# ---------------------------------------------------------------------------
+# the cycle rule and the closed-surface rule
+
+
+def _octahedron(a, b, c):
+    """The boundary of the octahedron with antipodal vertex pairs a, b, c."""
+    return fe.from_facets(itertools.product(a, b, c))
+
+
+# the 7-vertex torus: every pair of its vertices is an edge
+TORUS7 = [[i % 7 + 1, (i + j) % 7 + 1, (i + 3) % 7 + 1] for i in range(7) for j in (1, 2)]
+
+
+def _census_row(K, field, rho):
+    return next(row for row in _link_census(_fresh(K), field) if row.face == rho)
+
+
+def _forbid(monkeypatch, *names):
+    for name in names:
+        monkeypatch.setattr(homology, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_cycle_rule_finds_two_octahedra_glued_at_a_vertex(monkeypatch, field):
+    """Every edge lies in two triangles, so the link of the shared vertex,
+    two 4-cycles, is decided by the walk: bad and not connected."""
+    K = fe.SimplicialComplex([*_octahedron((1, 2), (3, 4), (5, 6)).facets,
+                              *_octahedron((1, 7), (8, 9), (10, 11)).facets])
+    _assert_rows_match_star_walk(K, field)
+    _assert_rows_match_oracle(K, field)
+    _forbid(monkeypatch, "_graph_betti", "betti")
+    assert _census_row(K, field, (1,)) == ((1,), "bad", False)
+    assert [row.face for row in _link_census(_fresh(K), field) if row.cls != "sphere"] == [(1,)]
+    rep = fe.manifold_report(_fresh(K), field)
+    assert not rep.is_homology_manifold and rep.witness == (1,)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_closed_surface_rule_finds_a_disconnected_apex_link(monkeypatch, field):
+    """The apex link, an octahedron and a disjoint 7-vertex torus, is closed
+    with chi = 2 + 0 = 2, yet bad: the union-find finds two components."""
+    base = fe.SimplicialComplex([*_octahedron((1, 2), (3, 4), (5, 6)).facets,
+                                 *(tuple(v + 10 for v in t) for t in TORUS7)])
+    K = _cone(base)
+    assert fe.euler_characteristic(base) == 2
+    _assert_rows_match_star_walk(K, field)
+    _assert_rows_match_oracle(K, field)
+    _forbid(monkeypatch, "_collapse_class", "betti")
+    closed = _spy(monkeypatch, "_closed_surface_class")
+    assert _census_row(K, field, (100,)) == ((100,), "bad", False)
+    assert closed == [K.link((100,)).facets]  # the base is the boundary
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_closed_surface_rule_decides_rp2_by_the_field(monkeypatch, field):
+    """The apex link of the cone over RP^2 is closed with chi = 1: bad over
+    GF(2), where b_1 = b_2 = 1, and acyclic, a ball, over Q and GF(3)."""
+    K = _cone(rp2_six())
+    _assert_rows_match_star_walk(K, field)
+    _assert_rows_match_oracle(K, field)
+    _forbid(monkeypatch, "_collapse_class", "betti")
+    closed = _spy(monkeypatch, "_closed_surface_class")
+    assert _census_row(K, field, (100,)) == ((100,), "bad" if field.p == 2 else "ball", True)
+    assert closed == [K.link((100,)).facets]
 
 
 def test_semi_eulerian_builds_no_census():
