@@ -635,16 +635,9 @@ def _one_cycle(edges: list) -> bool:
 def _closed_surface_class(triangles: list, field: FieldSpec) -> tuple:
     """(class, connected) of a closed surface, possibly disconnected, given by
     its triangles: each edge lies in two of them, so E = 3F/2 and
-    chi = V - F/2.  One sweep in facet order grows the component of the
-    first triangle, and mostly reaches every vertex, since a link's triangles
-    on one vertex tend to be near in facet order; union-find decides when it
-    does not."""
+    chi = V - F/2.  Two edges of each triangle suffice for connectivity."""
     vertices = {v for t in triangles for v in t}
-    reached = set(triangles[0])
-    for t in triangles:
-        if not reached.isdisjoint(t):
-            reached.update(t)
-    if len(reached) < len(vertices) and _components(vertices, (e for t in triangles for e in (t[:2], t[1:]))) > 1:
+    if _components(vertices, (e for t in triangles for e in (t[:2], t[1:]))) > 1:
         return "bad", False
     chi = len(vertices) - len(triangles) // 2
     if chi == 1:  # RP^2: acyclic unless the field has characteristic 2
