@@ -16,6 +16,7 @@ Contents:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .complexes import Coloring, SimplicialComplex
 from .constructions import (
@@ -244,6 +245,17 @@ def s2xs2_two_neighborly() -> SimplicialComplex:
     return K
 
 
+@cache
+def _seed(space: str) -> tuple:
+    """(seed, lifted tree) for cp2 and s2xs2_sum2, and (Lutz's complex, its
+    one-moves) for s2xs2_sum, built once per process and shared with their
+    cached counts and link census: complexes are immutable values."""
+    if space == "s2xs2_sum":
+        return catalog("s2xs2_sum").payload, catalog("s2xs2_moves").payload
+    K = catalog("cp2_9").payload if space == "cp2" else s2xs2_two_neighborly()
+    return K, _lift_tree(K, (1, 2), CP2_TREE if space == "cp2" else S2XS2_TREE)
+
+
 def realize_space(
     space: str,
     g1: int,
@@ -259,9 +271,11 @@ def realize_space(
     the double connected sum use the realization machine on their catalog
     seeds, except that g_2 = 18..20 of the double connected sum lie below its
     2-neighborly seed and start from Lutz's complex instead (the move log
-    then replays from ``catalog("s2xs2_sum")``).  K3 realization needs a
-    user-supplied seed triangulation with g-vector (1, 10, 55) since the
-    16-vertex facet list is external input.
+    then replays from ``catalog("s2xs2_sum")``).  Each catalog seed is built
+    once per process, and new vertices continue its int labels.  K3
+    realization needs a user-supplied seed triangulation with g-vector
+    (1, 10, 55) since the 16-vertex facet list is external input; it is
+    never cached.
     """
     a, b = g1 + 1, g1 + 1 + g2  # h-vector targets
     if space == "s1xs3":
@@ -270,23 +284,17 @@ def realize_space(
         target_edges = b + 4 * n - 10
         K, _ = s1xs3_fill(n, target_edges, log=log)
         return K
-    if space == "cp2":
+    if space == "s2xs2_sum2" and g2 < 21:
         feasibility_gate(space, g1, g2)
-        seed = catalog("cp2_9").payload
-        tree = _lift_tree(seed, (1, 2), catalog("cp2_tree").payload.facets)
-        return realize_g_pair(seed, tree, a, b, log=log, verify_seed=verify_seed)
-    if space == "s2xs2_sum2":
+        K, moves = _seed("s2xs2_sum")  # g_2 = 18; one one-move per missing edge
+        if verify_seed and not manifold_report(K).closed:
+            raise PreconditionFailed("seed must be a closed homology manifold")
+        for move in moves[: g2 - 18]:
+            K = _bistellar_step(K, move, log)
+        return _subdivide_facets(K, g1 - 6, log)
+    if space in ("cp2", "s2xs2_sum2"):
         feasibility_gate(space, g1, g2)
-        if g2 < 21:  # below the 2-neighborly seed's g_2: Lutz's complex (g_2 = 18),
-            # one catalog one-move per missing edge, then subdivisions for g_1
-            K = SimplicialComplex(S2XS2_FACETS)
-            if verify_seed and not manifold_report(K).closed:
-                raise PreconditionFailed("seed must be a closed homology manifold")
-            for move in catalog("s2xs2_moves").payload[: g2 - 18]:
-                K = _bistellar_step(K, move, log)
-            return _subdivide_facets(K, g1 - 6, log)
-        seed = s2xs2_two_neighborly()
-        tree = _lift_tree(seed, (1, 2), catalog("s2xs2_tree").payload.facets)
+        seed, tree = _seed(space)
         return realize_g_pair(seed, tree, a, b, log=log, verify_seed=verify_seed)
     if space == "k3":
         feasibility_gate(space, g1, g2)

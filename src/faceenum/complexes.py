@@ -8,15 +8,14 @@ with dimension while the facet lists stay small.
 
 All operations are pure: they return new complexes and never mutate inputs,
 so values are freely shareable across threads.  The successor of a
-construction move is built by a local edit of its parent and carries the
-parent's caches (vertex index, vertices, f-vector, and for mixed labels the
-facet-order keys), edited only around the touched star.  A bistellar move
-hands over its f-vector from the move's closed form.  A central
-retriangulation of a simple tree with m facets hands over the closed forms
-of one 0-move and m - 1 one-moves, which it equals when the host is pure
-and each glued ridge lies in exactly two facets; any other central
-retriangulation recounts the faces of its touched facets.  The full
-constructor stays the reference path.
+construction move on labels of one kind (constructions add fresh vertices of
+the host's kind) is a local edit of its parent that carries the parent's
+caches (vertex index, vertices, f-vector), edited around the touched star;
+a successor that mixes labels is built by the constructor.  A bistellar move
+hands over its f-vector from its closed form, and a central retriangulation
+of a simple tree from those of one 0-move and m - 1 one-moves when the host
+is pure and each glued ridge lies in two facets; any other one recounts the
+faces of its touched facets.  The full constructor stays the reference path.
 """
 
 from __future__ import annotations
@@ -312,73 +311,52 @@ class SimplicialComplex:
     def relabel(self, mapping: dict) -> "SimplicialComplex":
         return SimplicialComplex([[mapping.get(v, v) for v in f] for f in self.facets])
 
-    @cached_property
-    def _facet_keys(self) -> dict:
-        """``_facet_order`` of each facet.  A successor on the keyed path of
-        ``_edited`` carries its parent's keys and computes only its own."""
-        return {f: _facet_order(f) for f in self.facets}
-
     def _edited(self, removed, added, f_vector: tuple | None = None) -> "SimplicialComplex":
         """The successor with the facets ``removed`` replaced by the new
-        canonical faces ``added``, built by a local edit.
-
-        The caller guarantees that ``removed`` are facets, that ``added`` are
-        not faces, and that the result is an antichain.  The facet order is
-        that of the full constructor.  When the result is pure and every
-        label is of one kind, plain tuple order is that order, and the
-        facets and vertices are bisected without a key function.  Otherwise
-        the successor carries its parent's ``_facet_keys``, computes the keys
-        of the added facets only, and bisects the facets and the vertex
-        stars with a dict lookup as the key.  The vertex index and the
-        vertices are edited around the touched vertices.  The successor
-        carries ``f_vector`` when the caller knows it: a bistellar move knows
-        it from its closed form, and so does a central retriangulation of a
-        simple tree (see ``trees.central_retriangulation``).  Otherwise, when
-        the parent has an f-vector, it carries a recount of the faces of the
-        removed and added facets against the kept facets.
+        canonical faces ``added``; the caller guarantees that ``removed`` are
+        facets, that ``added`` are not faces, and that the result is an
+        antichain.  When the result is pure and its labels are of one kind
+        (constructions keep their host's kind, see ``fresh_vertex``), plain
+        tuple order is the facet order, and the facets, the vertex index and
+        the vertices are bisected and edited around the touched vertices.
+        Otherwise the constructor builds the successor.  It carries
+        ``f_vector`` when the caller knows it from a closed form (a bistellar
+        move, or a central retriangulation of a simple tree), else, when the
+        parent has an f-vector, a local recount (``_edited_f_vector``).
         """
         removed = set(removed)
-        fs = list(self.facets)
         verts = list(self.vertices)
-        size = len(fs[0])
-        plain = (self.is_pure() and all(len(f) == size for f in added)
-                 and _one_kind([*verts[:1], *verts[-1:], *(v for f in added for v in (f[0], f[-1]))]))
-        if plain:
-            order = vorder = keys = None
+        size = len(self.facets[0])
+        if self.is_pure() and all(len(f) == size for f in added) and _one_kind(
+                [*verts[:1], *verts[-1:], *(v for f in added for v in (f[0], f[-1]))]):
+            fs = list(self.facets)
             for f in removed:
                 del fs[bisect_left(fs, f)]
-        else:
-            keys = dict(self._facet_keys)
-            order, vorder = keys.__getitem__, label_key
-            for f in removed:
-                del fs[bisect_left(fs, keys[f], key=order)]
-                del keys[f]
-            keys.update((f, _facet_order(f)) for f in added)
-        for f in added:
-            insort(fs, f, key=order)
-        out = SimplicialComplex.__new__(SimplicialComplex)
-        out.facets = tuple(fs)
-        old_idx = self._vertex_to_facets
-        idx = dict(old_idx)
-        for v in {v for f in (*removed, *added) for v in f}:
-            star = [f for f in old_idx.get(v, ()) if f not in removed]
             for f in added:
-                if v in f:
-                    insort(star, f, key=order)
-            if star:
-                if v not in old_idx:
-                    insort(verts, v, key=vorder)
-                idx[v] = tuple(star)
-            else:
-                del idx[v]
-                del verts[bisect_left(verts, v if plain else vorder(v), key=vorder)]
-        out.__dict__.update(_vertex_to_facets=idx, vertices=tuple(verts))
-        if keys is not None:
-            out.__dict__["_facet_keys"] = keys
+                insort(fs, f)
+            out = SimplicialComplex.__new__(SimplicialComplex)
+            out.facets = tuple(fs)
+            old_idx = self._vertex_to_facets
+            idx = dict(old_idx)
+            for v in {v for f in (*removed, *added) for v in f}:
+                star = [f for f in old_idx.get(v, ()) if f not in removed]
+                for f in added:
+                    if v in f:
+                        insort(star, f)
+                if star:
+                    if v not in old_idx:
+                        insort(verts, v)
+                    idx[v] = tuple(star)
+                else:
+                    del idx[v]
+                    del verts[bisect_left(verts, v)]
+            out.__dict__.update(_vertex_to_facets=idx, vertices=tuple(verts))
+        else:
+            out = SimplicialComplex([f for f in self.facets if f not in removed] + list(added))
         if f_vector is not None:
             out.__dict__["f_vector"] = f_vector
         elif "f_vector" in self.__dict__:
-            out.__dict__["f_vector"] = self._edited_f_vector(removed, added, len(fs[-1]) + 1)
+            out.__dict__["f_vector"] = self._edited_f_vector(removed, added, len(out.facets[-1]) + 1)
         return out
 
     def _edited_f_vector(self, removed: set, added, size: int) -> tuple:
@@ -540,8 +518,14 @@ def simplex(d: int) -> SimplicialComplex:
     return SimplicialComplex([tuple(range(1, d + 1))])
 
 
-def fresh_vertex(K: SimplicialComplex) -> str:
-    """The first of the labels 'w1', 'w2', ... that K does not use."""
+def fresh_vertex(K: SimplicialComplex) -> Label:
+    """A label that K does not use, of K's own kind: max + 1 when every label
+    of K is an int, so a construction on an int complex stays on int labels;
+    otherwise (str, mixed or no labels) the first of 'w1', 'w2', ... that K
+    does not use."""
+    verts = K.vertices
+    if verts and isinstance(verts[-1], int):  # ints sort before strs
+        return verts[-1] + 1
     i = 1
     while f"w{i}" in K._vertex_to_facets:
         i += 1

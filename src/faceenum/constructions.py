@@ -123,9 +123,9 @@ def apply_bistellar(K: SimplicialComplex, move: BistellarMove) -> SimplicialComp
     (``vectors._f_after_moves``): the faces F u t with t a proper subset of
     G go, C(|G|, j) of size |F| + j, and the faces G u t' with t' a proper
     subset of F come, C(|F|, i) of size |G| + i.  A K without an f-vector is
-    counted once.  Every move checks its h-vector change against
-    ``bistellar_h_effect``, with the h-vectors transformed from the plain
-    f-vector tuples.
+    counted once.  The closed form's h-vector change is checked against
+    ``bistellar_h_effect`` once per (d, m) (``vectors._move_delta``): f to h
+    is linear, so the verdict does not depend on f.
     """
     removed = check_move(K, move)
     F, G = move.F, move.G
@@ -375,8 +375,8 @@ def _spanning_circle(K: SimplicialComplex, rho2: tuple) -> list:
         adj.setdefault(b, []).append(a)
     if any(len(v) != 2 for v in adj.values()):
         raise PreconditionFailed("link is not a circle")
-    start = min(adj, key=repr)
-    cycle = [start, sorted(adj[start], key=repr)[0]]
+    start = min(adj, key=label_key)
+    cycle = [start, min(adj[start], key=label_key)]
     while True:
         nxt = [v for v in adj[cycle[-1]] if v != cycle[-2]]
         if nxt[0] == start:
@@ -481,7 +481,7 @@ def _full_step(K: SimplicialComplex, tree: SimpleTree, log: MoveLog | None):
     K2, w = _retriangulation_step(K, tree, log)
     # new codimension-two face: w joined with the shared face, topped up from
     # the previous shared face if it was larger than d-3
-    shared = sorted(common, key=repr)[: K.d - 3]
+    shared = sorted(common, key=label_key)[: K.d - 3]
     rho2 = face(tuple(shared) + (w,))
     circle = _spanning_circle(K2, rho2)
     return K2, _tree_from_circle(K2, rho2, circle)

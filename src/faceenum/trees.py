@@ -154,7 +154,8 @@ def grow_simple_tree(host: SimplicialComplex, length: int, rng: random.Random) -
 
 def central_retriangulation(K: SimplicialComplex, B, new_vertex=None) -> SimplicialComplex:
     """Replace the interior of a full-dimensional ball subcomplex B by the
-    cone over its boundary from a fresh vertex.
+    cone over its boundary from a fresh vertex (by default
+    ``fresh_vertex(K)``, of K's label kind).
 
     ``B`` may be a certified SimpleTree (a simple tree is a ball, so it is
     trusted), a complex, or a facet list; the latter two are verified to be
@@ -164,8 +165,8 @@ def central_retriangulation(K: SimplicialComplex, B, new_vertex=None) -> Simplic
     carries its f-vector.  A central retriangulation of a simple tree with m
     facets is a 0-move on its first facet followed by m - 1 one-moves, one
     per glued ridge (Walkup), so the f-vector is the sum of those bistellar
-    closed forms, checked against ``bistellar_h_effect`` once with m = 0 and
-    m - 1 times with m = 1.  That closed form needs a pure K, facets of B
+    closed forms, whose h-vector changes are checked once per (d, m)
+    (``vectors._move_delta``).  That closed form needs a pure K, facets of B
     that attach in their given order by the simple-tree rule, and every
     glued ridge in exactly two facets of K: then the lost faces are exactly
     the m facets and the m - 1 glued ridges.  Otherwise (a ball given as a

@@ -119,26 +119,32 @@ def bistellar_h_effect(h: tuple, m: int, d: int) -> tuple:
     return tuple(out)
 
 
+@cache
+def _move_delta(d: int, m: int) -> tuple:
+    """The f-vector change of an m-move (F, G) on facets of d vertices:
+    C(m + 1, j) faces F u t of size d - m + j go, for t a proper subset of
+    G, and C(d - m, i) faces G u t' of size m + 1 + i come, for t' a proper
+    subset of F.  Checked against ``bistellar_h_effect`` on first use per
+    (d, m); a mismatch raises IllegalMove and is not cached."""
+    delta = [0] * (d + 1)
+    for j in range(m + 1):
+        delta[d - m + j] -= comb(m + 1, j)
+    for i in range(d - m):
+        delta[m + 1 + i] += comb(d - m, i)
+    if _h_entries(delta) != bistellar_h_effect((0,) * (d + 1), m, d):
+        raise IllegalMove(f"h-vector effect mismatch for an {m}-move on facets of {d} vertices")
+    return tuple(delta)
+
+
 def _f_after_moves(f: tuple, ms) -> tuple:
     """The f-vector (f_-1, ..., f_{d-1}) of a pure complex after legal
-    m-moves, for each m in ``ms`` in turn, by the closed form.  An m-move
-    (F, G) has |F| = d - m and |G| = m + 1; the faces F u t with t a proper
-    subset of G go, C(m + 1, j) of size d - m + j, and the faces G u t' with
-    t' a proper subset of F come, C(d - m, i) of size m + 1 + i.  The result
-    is checked against ``bistellar_h_effect``; a mismatch raises
-    IllegalMove."""
-    d = len(f) - 1
-    h, out = _h_entries(f), list(f)
+    m-moves, one per m in ``ms``, by their closed-form changes.  f to h is
+    linear, so a move changes h by the same amount whatever f is: checking
+    that change once per (d, m) is the per-move h check."""
+    out = list(f)
     for m in ms:
-        for j in range(m + 1):
-            out[d - m + j] -= comb(m + 1, j)
-        for i in range(d - m):
-            out[m + 1 + i] += comb(d - m, i)
-        h = bistellar_h_effect(h, m, d)
-    out = tuple(out)
-    if _h_entries(out) != h:
-        raise IllegalMove(f"h-vector effect mismatch: got {_h_entries(out)}, expected {h}")
-    return out
+        out = [x + y for x, y in zip(out, _move_delta(len(f) - 1, m))]
+    return tuple(out)
 
 
 def f_from_h(hv: HVector) -> FVector:

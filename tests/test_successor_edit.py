@@ -1,10 +1,11 @@
 """Successor complexes by local edit.
 
 ``apply_bistellar`` and ``central_retriangulation`` build their result from
-the parent complex by a local edit that carries the parent's caches (the
-facet-order keys too, for mixed labels); a bistellar move carries its
-f-vector from the move's closed form, and a central retriangulation of a
-simple tree from the closed forms of one 0-move and m - 1 one-moves.  Every
+the parent complex by a local edit that carries the parent's caches when
+every label is of one kind, and by the constructor when the labels mix ints
+and strings.  Either way a bistellar move carries its f-vector from the
+move's closed form, and a central retriangulation of a simple tree from the
+closed forms of one 0-move and m - 1 one-moves.  Every
 step of a random legal move sequence is checked here against the full
 constructor ``SimplicialComplex(K.facets)``, which stays the reference path,
 and both closed forms against the local recount ``_edited_f_vector``.
@@ -213,28 +214,31 @@ def _random_chain(K, steps, rng):
         K = K2
 
 
+def _assert_no_keys(K):
+    """No facet-order keys are carried: the keyed edit is gone."""
+    assert "_facet_keys" not in K.__dict__ and not hasattr(SimplicialComplex, "_facet_keys")
+
+
 @pytest.mark.parametrize("seed_name", sorted(n for n in SEEDS if n != "ball8_4"))
 def test_move_chains_of_every_m_equal_a_fresh_build(seed_name, monkeypatch):
     """Chains of m-moves for every m, reverse 0-moves included, on int, str
-    and mixed labels.  One-kind labels take the keyless order path, which
-    calls no ``_facet_order``; mixed labels take the keyed one, which after
-    the first move keys only the |F| added facets."""
-    keyed = []
+    and mixed labels.  One-kind labels take the local edit, which calls no
+    ``_facet_order``; mixed labels are built by the constructor."""
+    ordered = []
     order = complexes._facet_order
-    monkeypatch.setattr(complexes, "_facet_order", lambda f: keyed.append(f) or order(f))
+    monkeypatch.setattr(complexes, "_facet_order", lambda f: ordered.append(f) or order(f))
     rng = random.Random(seed_name)
     K = SEEDS[seed_name]()
-    ms, moves_keyed = set(), 0
-    keyed.clear()
-    for i, (K, move, K2) in enumerate(_random_chain(K, 40, rng)):
-        moves_keyed += bool(keyed)
-        if i and keyed:
-            assert len(keyed) == len(move.F)
+    ms = set()
+    ordered.clear()
+    for K, move, K2 in _random_chain(K, 40, rng):
+        if not seed_name.startswith("mixed"):
+            assert ordered == []
         _assert_like_fresh(K2, [*K.facets_containing(move.F), *K2.facets_containing(move.G)])
-        keyed.clear()  # the fresh build sorts by key
+        _assert_no_keys(K2)
+        ordered.clear()  # the fresh build sorts by key
         ms.add(move.m)
     assert ms == set(range(K.d))
-    assert bool(moves_keyed) == seed_name.startswith("mixed"), moves_keyed
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,17 +342,13 @@ def test_a_hand_built_simple_tree_that_is_no_tree_takes_the_recount(facets, reco
     assert K2.f_vector != _f_after_moves(K.f_vector, [0, 1, 1, 1])
 
 
-# -- mixed labels carry their facet-order keys ----------------------------------
-
-
-def _assert_keys_carried(K):
-    assert K.__dict__["_facet_keys"] == {f: complexes._facet_order(f) for f in K.facets}
+# -- mixed labels are built by the constructor ------------------------------------
 
 
 def test_sibling_successors_of_one_mixed_parent_equal_fresh_builds():
     K = SEEDS["mixed_kl11_2"]()
     K.f_vector
-    keys = dict(K._facet_keys)
+    before = (K.facets, K.vertices, dict(K._vertex_to_facets), K.f_vector)
     rng = random.Random(7)
     tree = grow_simple_tree(K, 4, rng)
     children = [
@@ -360,25 +360,20 @@ def test_sibling_successors_of_one_mixed_parent_equal_fresh_builds():
     for K2 in children:
         R = SimplicialComplex(K2.facets)
         assert (K2.facets, K2.vertices, K2._vertex_to_facets) == (R.facets, R.vertices, R._vertex_to_facets)
-        _assert_keys_carried(K2)
-    assert K._facet_keys == keys  # no sibling edited its parent's keys
+        assert K2.__dict__["f_vector"] == R.f_vector
+        _assert_no_keys(K2)
+    assert (K.facets, K.vertices, K._vertex_to_facets, K.f_vector) == before  # no sibling edited its parent
     assert children[0].facets != children[1].facets
 
 
-def test_a_200_step_mixed_chain_equals_a_fresh_build(monkeypatch):
+def test_a_200_step_mixed_chain_equals_a_fresh_build():
     """0-moves with int and str vertices and tree retriangulations, each
-    step checked against the full constructor; after the first step, a step
-    computes the order key of its added facets only."""
-    keyed = []
-    order = complexes._facet_order
-    monkeypatch.setattr(complexes, "_facet_order", lambda f: keyed.append(f) or order(f))
+    step checked against the full constructor."""
     rng = random.Random(200)
     K = SEEDS["mixed_stacked9_5"]()
     K.f_vector
-    K._facet_keys
     kinds = set()
     for _ in range(200):
-        keyed.clear()
         tree = grow_simple_tree(K, rng.randint(1, 6), rng) if rng.random() < 0.5 else None
         if tree is not None:
             K2 = central_retriangulation(K, tree)
@@ -387,9 +382,8 @@ def test_a_200_step_mixed_chain_equals_a_fresh_build(monkeypatch):
             removed = [rng.choice(K.facets)]
             K2 = apply_bistellar(K, BistellarMove(removed[0], (_fresh_label(K, rng),)))
         added = set(K2.facets) - set(K.facets)
-        assert len(keyed) == len(added) and set(keyed) == added
         kinds.add((tree is None, len({type(v) for f in added for v in f})))
         _assert_like_fresh(K2, [*removed, *added])
-        _assert_keys_carried(K2)
+        _assert_no_keys(K2)
         K = K2
     assert len(kinds) == 4, kinds
