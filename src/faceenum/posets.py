@@ -3,13 +3,18 @@ semi-Eulerian classification, flag vectors, the toric h/g recursion, the
 ab-polynomial encoding of flag h-vectors, and the cd-index.
 
 Every invariant is an exact integer recursion or count; only
-:func:`order_complex` lists chains.  Classification counts the elements of
-even and odd rank in every interval, read off bitmasks, and computes no
-Mobius value.  Flag f-vectors come from one chain table per poset, a dynamic
-program over ranks.  The Mobius function comes one row mu(x, .) per element,
-and the order complex's Euler characteristic is mu(bottom, top) + 1 by Hall's
-theorem.  The toric recursion sums the g-polynomials below an element rank by
-rank.  The cd-index peels the last letter, Psi = A c + B d, and recurses.
+:func:`order_complex` lists chains.  Each poset keeps one index, built on
+first use: the elements in a linear extension, the int bitmasks of the
+elements below and above each one, and one mask per rank; ``leq`` and every
+invariant read it.  Classification counts the elements of even and odd rank
+in every interval of even length and computes no Mobius value.  Flag
+f-vectors come from one chain table per poset and the toric h/g recursion
+from one table per poset; both sum values over down-sets rank by rank, the
+elements of a rank with equal values sharing one mask, so a sum is a few
+popcounts.  The Mobius function comes one row mu(x, .) per element, summed
+the same way along the linear extension, and the order complex's Euler
+characteristic is mu(bottom, top) + 1 by Hall's theorem.  The cd-index peels
+the last letter, Psi = A c + B d, and recurses.
 
 Toric coefficients follow the convention th(P,x) = th_d + th_{d-1} x + ... +
 th_0 x^d for a poset of rank d+1, the mirror image of the indexing used in
@@ -20,12 +25,13 @@ convention.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from operator import add, sub
+from operator import mul, sub
 
-from .complexes import Coloring, SimplicialComplex, face_key
+from .complexes import Coloring, SimplicialComplex, _facet_order
 from .errors import (
     ArgumentOutOfRange,
     InvalidPoset,
@@ -43,11 +49,12 @@ BOTTOM_SENTINEL = "bottom"
 class GradedPoset:
     """Finite poset given by cover relations.
 
-    Construction computes the order relation; :meth:`validate` checks for a
-    unique bottom and top and a consistent rank function (every cover raises
-    rank by one), which together make every maximal chain have full length.
-    Operations that need gradedness call it; classification tolerates
-    arbitrary cover data and reports failure as "Neither".
+    Construction records the covers; the order relation is one bitmask index
+    over a linear extension, built on first use.  :meth:`validate` checks for
+    a unique bottom and top and a consistent rank function (every cover
+    raises rank by one), which together make every maximal chain have full
+    length.  Operations that need gradedness call it; classification
+    tolerates arbitrary cover data and reports failure as "Neither".
     """
 
     def __init__(self, elements, covers):
@@ -84,30 +91,51 @@ class GradedPoset:
     # -- structure ----------------------------------------------------------
 
     @cached_property
-    def below(self) -> dict:
-        """below[e] = frozenset of elements <= e."""
-        out = {}
-        for e in self._topo_order():
-            s = {e}
-            for a in self._lower[e]:
-                s |= out[a]
-            out[e] = frozenset(s)
-        return out
-
-    def _topo_order(self) -> list:
-        indeg = {e: len(self._lower[e]) for e in self.elements}
-        queue = [e for e in self.elements if indeg[e] == 0]
-        order = []
-        while queue:
-            e = queue.pop()
-            order.append(e)
-            for b in self._upper[e]:
+    def _masks(self) -> tuple:
+        """(order, pos, down, up): the elements in one linear extension, found
+        breadth first so that a graded poset comes out rank by rank, their
+        positions, and for position i the bitmasks down[i] of the elements
+        <= order[i] and up[i] of those >= order[i], bit j standing for
+        order[j].  A cycle raises InvalidPoset."""
+        lower, upper = self._lower, self._upper
+        indeg = {e: len(lower[e]) for e in self.elements}
+        order = [e for e in self.elements if not indeg[e]]
+        for e in order:  # the list grows while it is read: a queue
+            for b in upper[e]:
                 indeg[b] -= 1
-                if indeg[b] == 0:
-                    queue.append(b)
+                if not indeg[b]:
+                    order.append(b)
         if len(order) != len(self.elements):
             raise InvalidPoset("cover relations contain a cycle")
-        return order
+        pos = {e: i for i, e in enumerate(order)}
+        down = []
+        for i, e in enumerate(order):
+            m = 1 << i
+            for a in lower[e]:
+                m |= down[pos[a]]
+            down.append(m)
+        up = [0] * len(order)
+        for i in reversed(range(len(order))):
+            m = 1 << i
+            for b in upper[order[i]]:
+                m |= up[pos[b]]
+            up[i] = m
+        return order, pos, down, up
+
+    @cached_property
+    def _rank_masks(self) -> list:
+        """_rank_masks[k]: the elements of rank k, a bitmask over _masks."""
+        rank = self.rank
+        masks = [0] * (max(rank.values()) + 1)
+        for i, e in enumerate(self._masks[0]):
+            masks[rank[e]] |= 1 << i
+        return masks
+
+    @cached_property
+    def below(self) -> dict:
+        """below[e] = frozenset of elements <= e, read off the bitmasks."""
+        order, _, down, _ = self._masks
+        return {e: frozenset(order[j] for j in _bits(m)) for e, m in zip(order, down)}
 
     def leq(self, x, y) -> bool:
         """x <= y; an argument that is not an element raises ArgumentOutOfRange."""
@@ -118,7 +146,8 @@ class GradedPoset:
                 known = False
             if not known:
                 raise ArgumentOutOfRange(f"{e!r} is not an element of the poset")
-        return x in self.below[y]
+        _, pos, down, _ = self._masks
+        return bool(down[pos[y]] >> pos[x] & 1)
 
     @cached_property
     def bottom(self):
@@ -138,7 +167,7 @@ class GradedPoset:
     def rank(self) -> dict:
         """Rank from the bottom; raises InvalidPoset when covers disagree."""
         r = {self.bottom: 0}
-        for e in self._topo_order():
+        for e in self._masks[0]:
             for b in self._upper[e]:
                 want = r[e] + 1
                 have = r.get(b)
@@ -172,20 +201,22 @@ class GradedPoset:
     # -- Mobius function ------------------------------------------------------
 
     def _mobius_row(self, x) -> dict:
-        """mu(x, y) for every y >= x, in one pass over the up-set of x."""
+        """mu(x, y) for every y >= x, along the linear extension.
+
+        mu(x, y) = -sum of mu(x, z) over x <= z < y.  The values found so far
+        are kept as one bitmask per value, so the sum is, over the values v,
+        v times the number of bits that the mask of v shares with down[y]."""
         row = self._mobius_cache.get(x)
         if row is None:
-            below, up, stack = self.below, {x}, [x]
-            while stack:
-                for b in self._upper[stack.pop()]:
-                    if b not in up:
-                        up.add(b)
-                        stack.append(b)
-            row = {x: 1}
-            # z < y makes below[z] a proper subset of below[y]: a linear extension
-            for y in sorted(up - {x}, key=lambda e: len(below[e])):
-                row[y] = 0  # y lies in its own interval [x, y]
-                row[y] = -sum(map(row.__getitem__, up & below[y]))
+            order, pos, down, up = self._masks
+            p = pos[x]
+            row, classes = {x: 1}, {1: 1 << p}
+            for i in _bits(up[p] ^ 1 << p):
+                d = down[i]
+                mu = -sum(v * (d & m).bit_count() for v, m in classes.items())
+                row[order[i]] = mu
+                if mu:
+                    classes[mu] = classes.get(mu, 0) | 1 << i
             self._mobius_cache[x] = row
         return row
 
@@ -194,34 +225,77 @@ class GradedPoset:
             raise NotComparable(f"{x!r} is not below {y!r}")
         return self._mobius_row(x)[y]
 
-    # -- chains -----------------------------------------------------------------
+    # -- sums over down-sets, rank by rank ------------------------------------
+
+    def _down_set_sums(self, bottom_value, step, key=lambda value: value) -> dict:
+        """values[e] for every element e: bottom_value at rank 0, and
+        step(r, sums) at rank r >= 1, where sums[k] is the sum of key(values[z])
+        over the elements z < e of rank k, a vector padded with zeros.
+
+        The elements of one rank with equal keys form one class, kept as a
+        bitmask, so sums[k] adds each key of rank k times the popcount of
+        down[e] and its class.  A rank is complete before the next starts, so
+        elements whose counts agree share one step call."""
+        order, _, down, _ = self._masks
+        by_rank = self._rank_masks
+        keys, masks = [key(bottom_value)], [by_rank[0]]  # the classes of the ranks done
+        spans = [(0, 1)]  # spans[k]: the slice of the classes of rank k
+        values = {self.bottom: bottom_value}
+        for r in range(1, len(by_rank)):
+            computed: dict = {}  # counts -> value
+            by_key: dict = {}  # key -> mask of its elements of rank r
+            for i in _bits(by_rank[r]):
+                counts = tuple(map(int.bit_count, map(down[i].__and__, masks)))
+                value = computed.get(counts)
+                if value is None:
+                    value = computed[counts] = step(r, [
+                        [sum(map(mul, counts[a:b], col)) for col in itertools.zip_longest(*keys[a:b], fillvalue=0)]
+                        for a, b in spans
+                    ])
+                values[order[i]] = value
+                k = key(value)
+                by_key[k] = by_key.get(k, 0) | 1 << i
+            spans.append((len(keys), len(keys) + len(by_key)))
+            keys += by_key
+            masks += by_key.values()
+        return values
 
     @cached_property
     def _chain_table(self) -> list:
         """table[S] = number of chains of the proper part with rank set S, for
         every S inside [1, total_rank - 1] as a bitmask (rank i is bit i - 1).
-        The chains topped by e, by rank set below rank[e], are {e} and, for
-        each rank m, the sum of those lists over the elements of rank m < e."""
-        rank = self.rank
-        table = [0] * (1 << max(self.total_rank - 1, 0))
-        table[0] = 1
-        ending: dict = {}  # e -> number of chains topped by e, by rank set below rank[e]
-        for e in sorted(self.proper_part(), key=rank.__getitem__):
-            own = [1]
-            for m, lists in enumerate(self._below_by_rank(e, ending)):
-                own += map(sum, zip(*lists)) if lists else [0] * (1 << m >> 1)
-            ending[e] = own
-            lo = 1 << (rank[e] - 1)
-            table[lo:2 * lo] = map(add, table[lo:2 * lo], own)
-        return table
 
-    def _below_by_rank(self, e, values: dict) -> list:
-        """values[z] for the elements z below e that have one, grouped by rank."""
-        rank, groups = self.rank, [[] for _ in range(self.rank[e])]
-        for z in self.below[e]:
-            if z in values:
-                groups[rank[z]].append(values[z])
-        return groups
+        The value of e lists the chains topped by e, by rank set below
+        rank[e]: {e} itself, then for each rank m the sum of the values of the
+        elements of rank m below e.  The value of the top is the table."""
+        if not self.total_rank:
+            return [1]
+        values = self._down_set_sums((), lambda r, sums: (1, *itertools.chain.from_iterable(sums)))
+        return list(values[self.top])
+
+    @cached_property
+    def _toric(self) -> tuple:
+        """(th, g): the toric recursion on every interval [bottom, z].
+        th(z) = sum over ranks k < rank z of (x-1)^(rank z - 1 - k) times the
+        sum of g(w) over the elements w < z of rank k; g(z) is read off th(z).
+        Values are the pairs (g, th), classed and summed by g."""
+        x_minus_1 = [[(-1) ** (k - j) * comb(k, j) for j in range(k + 1)] for k in range(self.total_rank)]
+
+        def step(r, sums):
+            th = _poly_sum([_poly_mul(g, x_minus_1[r - 1 - k]) for k, g in enumerate(sums)])
+            th += [0] * (r - len(th))  # degree r - 1 with explicit zeros
+            g = [th[0]] + [th[j] - th[j - 1] for j in range(1, (r - 1) // 2 + 1)]
+            while g and not g[-1]:
+                g.pop()
+            return tuple(g or [0]), th
+
+        values = self._down_set_sums(((1,), [1]), step, key=lambda value: value[0])
+        return {e: th for e, (_, th) in values.items()}, {e: list(g) for e, (g, _) in values.items()}
+
+
+def _bits(mask: int) -> list:
+    """Positions of the set bits of a nonnegative mask, ascending."""
+    return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
 
 
 def _require_poset(P) -> None:
@@ -232,12 +306,15 @@ def _require_poset(P) -> None:
 def classify_poset(P: GradedPoset) -> str:
     """"Eulerian", "SemiEulerian" or "Neither" by rank parity.
 
-    An interval [x, y] of length >= 1 whose proper subintervals are Eulerian
-    has mu(x, y) = (-1)^(r(y) - r(x)) iff it has as many elements of even rank
+    An interval [x, y] of length n >= 1 whose proper subintervals are
+    Eulerian has mu(x, y) = (-1)^n iff it has as many elements of even rank
     as of odd rank (Stanley, EC1, Ex. 3.16).  By induction on length, P is
     semi-Eulerian iff every interval but [bottom, top] balances, and Eulerian
-    iff [bottom, top] balances too.  Intervals are read off bitmasks over the
-    elements numbered in rank order; no Mobius value is computed.
+    iff [bottom, top] balances too.  Only intervals of even length need a
+    count: with E the signed rank sum of [x, y], the recursions for mu over
+    [x, y) and over (x, y] give -(E - (-1)^n) = -(-1)^n (E - 1), so
+    E = (-1)^n E, and E = 0 when n is odd.  Intervals are read off the
+    poset's bitmasks; no Mobius value is computed.
     """
     _require_poset(P)
     try:
@@ -246,34 +323,18 @@ def classify_poset(P: GradedPoset) -> str:
         return "Neither"
     if P.total_rank == 0:  # a single element: no interval of length >= 1
         return "Eulerian"
-    rank = P.rank
-    order = sorted(P.elements, key=rank.__getitem__)
-    index = {e: i for i, e in enumerate(order)}
-    below, even = [], 0  # below[i]: elements <= order[i]; even: those of even rank
-    for i, e in enumerate(order):
-        m = 1 << i
-        for a in P._lower[e]:
-            m |= below[index[a]]
-        below.append(m)
-        if not rank[e] & 1:
-            even |= 1 << i
-    up = [0] * len(order)  # up[i]: elements >= order[i]
-    for i in reversed(range(len(order))):
-        m = 1 << i
-        for b in P._upper[order[i]]:
-            m |= up[index[b]]
-        up[i] = m
-    bottom, top = index[P.bottom], index[P.top]
+    order, pos, down, up = P._masks
+    rank, by_rank = P.rank, P._rank_masks
+    parity = (sum(by_rank[0::2]), sum(by_rank[1::2]))  # disjoint masks: sum is union
+    even = parity[0]
+    bottom, top = pos[P.bottom], pos[P.top]
     for x, ux in enumerate(up):
-        rest = (ux >> x) ^ 1  # the y > x, as bit y - x
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            y = x + low.bit_length() - 1
-            interval = ux & below[y]
+        same = ux & parity[rank[order[x]] & 1]
+        for y in _bits(same ^ 1 << x):  # the y > x at even distance
+            interval = ux & down[y]
             if 2 * (interval & even).bit_count() != interval.bit_count() and (x, y) != (bottom, top):
                 return "Neither"
-    whole = below[top]
+    whole = down[top]
     return "Eulerian" if 2 * (whole & even).bit_count() == whole.bit_count() else "SemiEulerian"
 
 
@@ -291,20 +352,17 @@ def face_poset(K: SimplicialComplex, augment: bool = True) -> GradedPoset:
 
     With ``augment`` a fresh top is adjoined when the complex has more than
     one facet; a complex with a unique facet is already bounded above.
+    Elements come by size, then by ``label_key`` of their labels; each cover
+    (f minus a vertex, f) is generated once, in the order of f.
     """
     if not isinstance(K, SimplicialComplex):
         raise ArgumentOutOfRange(f"expected a SimplicialComplex, got {type(K).__name__}")
-    faces = sorted(K.faces(), key=lambda f: (len(f), face_key(f)))
-    covers = []
-    for f in faces:
-        for j in range(len(f)):
-            covers.append((f[:j] + f[j + 1:], f))
-    elements: list = list(faces)
+    elements: list = sorted(K.faces(), key=_facet_order)
+    covers = [(f[:j] + f[j + 1:], f) for f in elements for j in range(len(f))]  # each pair once
     if augment and len(K.facets) > 1:
         elements.append(TOP_SENTINEL)
-        for fac in K.facets:
-            covers.append((fac, TOP_SENTINEL))
-    return GradedPoset(elements, sorted(set(covers), key=repr))
+        covers += [(fac, TOP_SENTINEL) for fac in K.facets]
+    return GradedPoset(elements, covers)
 
 
 def order_complex(P: GradedPoset, reduced: bool = True):
@@ -405,31 +463,11 @@ class ToricPolynomial:
 
 
 def _toric_tables(P: GradedPoset):
-    """th and g-hat coefficient lists for every interval [bottom, z]:
-    th(z) = sum over ranks k < rank z of (x-1)^(rank z - 1 - k) times the sum
-    of g(w) over the elements w < z of rank k."""
+    """th and g-hat coefficient lists for every interval [bottom, z], built
+    once per poset: see GradedPoset._toric."""
     _require_poset(P)
     P.validate()
-    rank, d = P.rank, P.total_rank
-    x_minus_1 = [[(-1) ** (k - j) * comb(k, j) for j in range(k + 1)] for k in range(d)]
-    g_memo: dict = {}
-    th_memo: dict = {}
-    for z in sorted(P.elements, key=rank.__getitem__):
-        r = rank[z]
-        if r == 0:
-            th_memo[z] = [1]
-            g_memo[z] = [1]
-            continue
-        by_rank = P._below_by_rank(z, g_memo)
-        th = _poly_sum([_poly_mul(_poly_sum(gs), x_minus_1[r - 1 - k]) for k, gs in enumerate(by_rank) if gs])
-        th = th + [0] * (r - len(th))  # degree r-1 with explicit zeros
-        th_memo[z] = th
-        m = (r - 1) // 2
-        g = [th[0]] + [th[j] - th[j - 1] for j in range(1, m + 1)]
-        while g and not g[-1]:
-            g.pop()
-        g_memo[z] = g or [0]
-    return th_memo, g_memo
+    return P._toric
 
 
 def toric_h(P: GradedPoset) -> ToricPolynomial:

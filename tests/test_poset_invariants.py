@@ -11,8 +11,11 @@ interval sets, the Mobius sign rule on every interval, the Mobius row that
 scans every element below, the alternating sum over chains, the toric
 recursion one element at a time and the exact Gauss-Jordan solve for the
 cd-index.  Inputs are Boolean lattices, catalog posets, face posets of closed
-manifolds and of random pure complexes, seeded random ranked posets,
-including invalid ones, and random ab-polynomials.
+manifolds and of random pure complexes, face posets with int, str and mixed
+labels, seeded random ranked posets, including invalid ones, ranked posets
+whose elements above rank 1 never share a value, and random ab-polynomials.
+The bitmask index's value classes and the toric cache are checked by
+counting the helper's step calls.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +31,12 @@ from hypothesis import strategies as st
 
 import faceenum as fe
 from conftest import rp2_six
+from faceenum.complexes import face_key
 from faceenum.errors import (
     ArgumentOutOfRange, FaceEnumError, InvalidPoset, NotComparable, NotInCDSpan,
 )
 from faceenum.posets import (
-    ABPolynomial, CDIndex, _toric_tables, cd_words, expand_cd_word, reduced_order_complex_euler,
+    ABPolynomial, CDIndex, GradedPoset, _toric_tables, cd_words, expand_cd_word, reduced_order_complex_euler,
 )
 from faceenum.vectors import FlagVector, flag_h_from_flag_f
 
@@ -242,6 +246,43 @@ def _wedge_of_3_spheres() -> fe.SimplicialComplex:
     return fe.SimplicialComplex(list(S.facets) + [[v if v == 1 else v + 10 for v in f] for f in S.facets])
 
 
+def distinct_value_poset(seed: int) -> GradedPoset:
+    """A seeded ranked poset in which element i of each rank r >= 2 covers
+    i + 1 random elements of rank r - 1, so no two elements of such a rank
+    share a count below, a chain vector or a step call.  The elements of rank
+    1 cover the bottom alone, so they share theirs."""
+    rng = random.Random(seed)
+    n, width = rng.randint(3, 6), rng.randint(2, 4)
+    levels = [["0"]] + [[f"{r}.{i}" for i in range(width)] for r in range(1, n)] + [["1"]]
+    covers = [("0", b) for b in levels[1]] + [(a, "1") for a in levels[-2]]
+    for lo, hi in zip(levels[1:-2], levels[2:-1]):
+        for i, b in enumerate(hi):
+            covers += [(a, b) for a in rng.sample(lo, i + 1)]
+    rng.shuffle(covers)
+    elements = [e for level in levels for e in level]
+    rng.shuffle(elements)
+    return GradedPoset(elements, covers)
+
+
+def _relabel(K, kind: str) -> fe.SimplicialComplex:
+    """K with int, str or mixed (odd to str) labels."""
+    def lab(v):
+        return v if kind == "int" or (kind == "mixed" and v % 2 == 0) else f"v{v}"
+    return fe.SimplicialComplex([[lab(v) for v in f] for f in K.facets])
+
+
+LABELLED = {
+    f"{name}_{kind}": (lambda K=K, kind=kind: _relabel(K(), kind))
+    for name, K in {
+        "rp2": rp2_six,
+        "stacked7_3": lambda: fe.stacked_sphere(7, 3),
+        "kl_11_2": lambda: fe.kuhnel_lassmann(11, 2),
+        "two_triangles": lambda: fe.SimplicialComplex([[1, 2, 3], [3, 4, 5]]),
+    }.items()
+    for kind in ("int", "str", "mixed")
+}
+
+
 INPUTS = {f"B{d}": (lambda d=d: fe.boolean_lattice(d)) for d in range(9)}
 INPUTS["torus_poset"] = lambda: fe.catalog("torus_poset").payload
 INPUTS["cp2_9"] = lambda: fe.face_poset(fe.catalog("cp2_9").payload)
@@ -250,6 +291,8 @@ INPUTS["kl_11_2"] = lambda: fe.face_poset(fe.kuhnel_lassmann(11, 2))
 INPUTS["rp2"] = lambda: fe.face_poset(rp2_six())
 INPUTS["wedge_of_3_spheres"] = lambda: fe.face_poset(_wedge_of_3_spheres())
 INPUTS.update({f"random{s}": (lambda s=s: random_poset(s)) for s in range(60)})
+INPUTS.update({f"distinct{s}": (lambda s=s: distinct_value_poset(s)) for s in range(30)})
+INPUTS.update({f"face_poset_{name}": (lambda K=K: fe.face_poset(K())) for name, K in LABELLED.items()})
 
 
 # -- differential tests -----------------------------------------------------------
@@ -437,3 +480,214 @@ def test_face_poset_classification_matches_the_complex(K):
     cls = fe.classify_poset(fe.face_poset(K))
     assert (cls == "Eulerian") == fe.is_eulerian(K)
     assert (cls != "Neither") == fe.is_semi_eulerian(K)
+
+
+# -- the bitmask index and its value classes ----------------------------------
+
+
+def counting_steps(monkeypatch) -> list:
+    """Record the rank of every step call of the down-set helper."""
+    calls, real = [], GradedPoset._down_set_sums
+
+    def counting(self, bottom_value, step, **kw):
+        return real(self, bottom_value, lambda r, sums: calls.append(r) or step(r, sums), **kw)
+
+    monkeypatch.setattr(GradedPoset, "_down_set_sums", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_posets_whose_values_never_repeat_compute_every_element(seed, monkeypatch):
+    """The differential tests above take these posets as INPUTS["distinct<seed>"]."""
+    calls = counting_steps(monkeypatch)
+    P = distinct_value_poset(seed)
+    fe.flag_vectors(P), fe.toric_h(P)
+    rank = P.rank
+    # chain table and toric tables: one call for rank 1, one per element above
+    assert sorted(calls) == sorted(2 * [1] + [rank[e] for e in P.elements if rank[e] >= 2] * 2)
+    for r in range(2, P.total_rank):  # distinct numbers of covers below
+        covered = [len(P._lower[e]) for e in P.elements if rank[e] == r]
+        assert len(set(covered)) == len(covered)
+
+
+def test_b9_matches_the_oracles_and_the_multinomials():
+    P = fe.boolean_lattice(9)
+    ff, fh = fe.flag_vectors(P)
+    for S, v in ff.entries.items():  # old_flag_f would list 7,087,261 chains
+        cuts = [0, *sorted(S), 9]
+        assert v == factorial(9) // prod(factorial(b - a) for a, b in zip(cuts, cuts[1:]))
+    assert fh == flag_h_from_flag_f(ff)
+    assert _toric_tables(P) == old_toric_tables(P)
+    for x in P.elements:
+        assert P._mobius_row(x) == old_mobius_row(P, x)
+    assert fe.classify_poset(P) == old_classify(P) == "Eulerian"
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_the_class_helper_computes_once_per_rank_of_a_boolean_lattice(n, monkeypatch):
+    calls = counting_steps(monkeypatch)
+    P = fe.boolean_lattice(n)
+    P._chain_table  # noqa: B018
+    assert calls == list(range(1, n + 1))
+    calls.clear()
+    fe.toric_h(P)
+    assert calls == list(range(1, n + 1))
+
+
+def test_toric_tables_are_built_once_per_poset(monkeypatch):
+    calls = counting_steps(monkeypatch)
+    P = fe.catalog("torus_poset").payload
+    fe.toric_h(P), fe.toric_g(P), fe.toric_ds_defect(P), _toric_tables(P)
+    assert calls.count(1) == 1
+    other = fe.catalog("torus_poset").payload  # a second poset builds its own
+    fe.toric_h(other)
+    assert calls.count(1) == 2
+
+
+def test_leq_on_cycles_and_on_invalid_cover_data():
+    cyc = GradedPoset(["0", "a", "b"], [("0", "a"), ("a", "b"), ("b", "a")])
+    with pytest.raises(InvalidPoset):
+        cyc.leq("0", "a")
+    loop = GradedPoset(["a"], [("a", "a")])
+    with pytest.raises(InvalidPoset):
+        loop.leq("a", "a")
+    two_minima = GradedPoset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    assert two_minima.leq("a", "c") and two_minima.leq("b", "c") and not two_minima.leq("a", "b")
+    skip = GradedPoset(["0", "a", "1"], [("0", "a"), ("a", "1"), ("0", "1")])  # ambiguous rank
+    assert skip.leq("0", "1") and skip.leq("a", "1") and not skip.leq("1", "a")
+    assert fe.mobius(skip, "0", "1") == 0 and fe.mobius(two_minima, "a", "c") == -1
+
+
+# -- classification on random ranked posets -----------------------------------
+
+
+@st.composite
+def ranked_posets(draw):
+    """(poset, the class it must have or None): shuffled Boolean lattices and
+    butterflies (Eulerian), face posets of disjoint boundaries of simplices
+    (Eulerian or semi-Eulerian by their Euler characteristic), and random
+    covers between levels, with a cover dropped or added at random."""
+    kind = draw(st.sampled_from(["boolean", "butterfly", "spheres", "levels"]))
+    if kind == "boolean":
+        P, want = fe.boolean_lattice(draw(st.integers(0, 5))), "Eulerian"
+    elif kind == "butterfly":
+        n = draw(st.integers(1, 7))
+        levels = [["0"]] + [[f"{r}a", f"{r}b"] for r in range(1, n)] + [["1"]]
+        covers = [(a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi]
+        P, want = GradedPoset([e for level in levels for e in level], covers), "Eulerian"
+    elif kind == "spheres":
+        d, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        facets = [[v + (d + 1) * j for v in f] for j in range(k) for f in itertools.combinations(range(1, d + 2), d)]
+        chi_sphere = 1 + (-1) ** (d - 1)
+        P = fe.face_poset(fe.SimplicialComplex(facets))
+        want = "Eulerian" if k == 1 or k * chi_sphere == chi_sphere else "SemiEulerian"
+    else:
+        n = draw(st.integers(1, 5))
+        levels = [["0"]] + [[f"{r}.{i}" for i in range(draw(st.integers(1, 3)))] for r in range(1, n)] + [["1"]]
+        covers = [(a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi if draw(st.booleans())]
+        covers += [(a, levels[r + 1][0]) for r, lo in enumerate(levels[:-1]) for a in lo]  # every element covered
+        covers += [(levels[r - 1][0], b) for r, hi in enumerate(levels[1:], 1) for b in hi]
+        P, want = GradedPoset([e for level in levels for e in level], covers), None
+    covers, elements = list(P.covers), list(P.elements)
+    edit = draw(st.sampled_from(["none", "none", "drop", "add"]))
+    if edit == "drop" and covers:
+        covers.pop(draw(st.integers(0, len(covers) - 1)))
+        want = None
+    elif edit == "add" and len(elements) > 1:
+        covers.append((draw(st.sampled_from(elements)), draw(st.sampled_from(elements))))
+        want = None
+    return GradedPoset(elements, draw(st.permutations(covers))), want
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_posets())
+def test_classification_by_even_intervals_matches_the_sign_rule(case):
+    P, want = case
+    got = fe.classify_poset(P)
+    assert got == old_classify(P)
+    if want is not None:
+        assert got == want
+
+
+# -- face_poset order -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(LABELLED))
+def test_face_poset_keeps_the_element_order_and_the_covers(name):
+    K = LABELLED[name]()
+    P = fe.face_poset(K)
+    faces = sorted(K.faces(), key=lambda f: (len(f), face_key(f)))
+    assert list(P.elements) == faces + ["top"]
+    covers = {(f[:j] + f[j + 1:], f) for f in faces for j in range(len(f))} | {(f, "top") for f in K.facets}
+    assert set(P.covers) == covers
+    assert len(P.covers) == len(covers)  # no cover twice
+
+
+# -- contracts: any cover data returns or raises a FaceEnumError ---------------
+
+
+@st.composite
+def cover_data(draw):
+    """Elements and covers, mostly ranked levels, with cycles, self-covers,
+    several minima or maxima, ambiguous ranks, duplicate covers, unknown and
+    unhashable members."""
+    n = draw(st.integers(0, 4))
+    levels = [["0"]] + [[f"{r}.{i}" for i in range(draw(st.integers(1, 3)))] for r in range(1, n)] + [["1"]]
+    elements = [e for level in levels for e in level]
+    covers = [[a, b] for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi if draw(st.booleans())]
+    covers += [[a, levels[r + 1][0]] for r, lo in enumerate(levels[:-1]) for a in lo]  # graded until edited
+    covers += [[levels[r - 1][0], b] for r, hi in enumerate(levels[1:], 1) for b in hi]
+    pick = st.sampled_from(elements)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["cycle", "self", "minimum", "maximum", "skip", "duplicate", "unknown", "unhashable"]))
+        if edit in ("cycle", "skip"):  # backwards, or two levels up
+            a, b = draw(pick), draw(pick)
+            covers.append([a, b])
+            covers.append([b, a] if edit == "cycle" else [a, b])
+        elif edit == "self":
+            a = draw(pick)
+            covers.append([a, a])
+        elif edit in ("minimum", "maximum"):
+            e = f"extra{len(elements)}"
+            elements.append(e)
+            covers.append([e, draw(pick)] if edit == "minimum" else [draw(pick), e])
+        elif edit == "duplicate" and covers:
+            covers.append(list(draw(st.sampled_from(covers))))
+        elif edit == "unknown":
+            covers.append([draw(pick), "nowhere"])
+        elif edit == "unhashable":
+            if draw(st.booleans()):
+                elements.append(["a", "list"])
+            else:
+                covers.append([draw(pick), {"a": 1}])
+    return elements, covers
+
+
+def _each_call(P, args):
+    yield lambda: fe.classify_poset(P)
+    yield lambda: fe.toric_h(P)
+    yield lambda: fe.toric_g(P)
+    yield lambda: fe.flag_vectors(P)
+    yield lambda: fe.bayer_billera_defects(P)
+    yield lambda: reduced_order_complex_euler(P)
+    yield lambda: fe.cd_index(fe.ab_from_flag_h(fe.flag_vectors(P)[1]))
+    for x, y in args:
+        yield lambda x=x, y=y: fe.mobius(P, x, y)
+        yield lambda x=x, y=y: P.leq(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_data(), st.data())
+def test_every_poset_call_returns_or_raises_a_library_error(data, draw):
+    elements, covers = data
+    try:
+        P = GradedPoset(elements, covers)
+    except FaceEnumError:
+        return
+    pool = list(P.elements) + ["nowhere", ["un", "hashable"]]
+    args = draw.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=4))
+    for call in _each_call(P, args):
+        try:
+            call()
+        except FaceEnumError:
+            pass
