@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, field
 from math import comb
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _require_complex
 from .constructions import kuhnel_lassmann
 from .errors import DimensionParity
 from .homology import (
@@ -399,6 +399,7 @@ def audit(
     name: str = "complex",
 ) -> AuditReport:
     """Run the full battery of checks with applicability guards."""
+    _require_complex(K)
     K.require_pure("audit")
     K.require_connected("audit")
     h = h_vector(K).entries

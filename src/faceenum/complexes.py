@@ -386,6 +386,11 @@ class SimplicialComplex:
         return tuple(counts[:size])
 
 
+def _require_complex(K) -> None:
+    if not isinstance(K, SimplicialComplex):
+        raise ArgumentOutOfRange(f"expected a SimplicialComplex, got {type(K).__name__}")
+
+
 def from_facets(facet_list) -> SimplicialComplex:
     """Build a complex from a list of vertex-label lists.
 

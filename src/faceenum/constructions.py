@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .complexes import SimplicialComplex, _one_kind, face, fresh_vertex, label_key
+from .complexes import SimplicialComplex, _one_kind, _require_complex, face, fresh_vertex, label_key
 from .errors import (
     ArgumentOutOfRange,
     HypothesisNotMet,
@@ -167,6 +167,7 @@ def stacked_sphere(n: int, d: int) -> SimplicialComplex:
 def is_stacked_sphere(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
     """Kalai's criterion h_1 = h_2, valid for closed homology manifolds of
     dimension at least three."""
+    _require_complex(K)
     if K.d < 4:
         raise HypothesisNotMet("criterion needs facet size d >= 4")
     rep = manifold_report(K, field)
@@ -179,6 +180,7 @@ def is_stacked_sphere(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> boo
 def in_walkup_class(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
     """Membership in the class generated from stacked spheres by handle
     additions: every vertex link is a stacked sphere."""
+    _require_complex(K)
     K.require_pure("Walkup class test")
     for v in K.vertices:
         L = K.link((v,))

@@ -24,23 +24,29 @@ boundary exactly when every face strictly containing rho has a sphere link.
 
 Each link is built once, in one pass over the facets: a face rho of a
 facet f and its complement f - rho, a facet of lk rho, sit at the same place
-in the k-subsets of f and the reversed (|f| - k)-subsets.  Each link is then decided in five steps: from
-its star size, else counted, else by a duality certificate, else by a
-collapse certificate, else by ranks.  The walk goes from the largest faces
-down, so the rows above a face exist when it is classified.  In a pure
-complex a facet's link is S^-1, and a ridge in 1, 2 or more facets has a
-point, S^0 or a bad link.  Below only sphere rows, a 1-dimensional link has
-two edges at each vertex, so it is a union of cycles: a sphere when one walk
-covers every edge, bad and disconnected otherwise (the cycle rule).  Below
-only sphere rows, a 2-dimensional link is a closed surface, each edge on two
+in the k-subsets of f and the reversed (|f| - k)-subsets.  Each link is then
+decided in six steps: from its star size, else counted, else by inverse
+0-moves, else by a duality certificate, else by a collapse certificate, else
+by ranks.  The walk goes from the largest faces down, so the rows above a
+face exist when it is classified.  In a pure complex a facet's link is
+S^-1, and a ridge in 1, 2 or more facets has a point, S^0 or a bad link.
+Below only sphere rows, a 1-dimensional link has two edges at each vertex,
+so it is a union of cycles: a sphere when one walk covers every edge, bad
+and disconnected otherwise (the cycle rule).  Below only sphere rows, a
+2-dimensional link is a closed surface, each edge on two
 triangles, so chi = V - F/2 and only connectivity is left to find: a sphere
 when connected with chi = 2, a ball when RP^2 over a field of odd or zero
 characteristic, and bad otherwise (the closed-surface rule).  Below a ball
 row and no bad row, it is a surface with boundary, a ball when a disk.  Any
 other link of dimension <= 1 is a graph, and its Betti numbers are counts
-(components, and E - V + components).  A link L of dimension m = 3 or 4 of
-a pure complex below only sphere rows is a closed homology m-manifold, since
-those rows are the links of L.  Its 2-skeleton certifies it connected with
+(components, and E - V + components).  A link of dimension m >= 3 of a
+pure complex is first reduced by inverse 0-moves (Bjorner-Lutz): trading a
+star w * d(sigma), sigma no facet, for sigma undoes a stellar subdivision,
+so a link that ends at the boundary of the (m+1)-simplex is a stacked
+sphere.  This needs no rows above, and it decides every such link of a
+complex in Walkup's class.  A link L of dimension m = 3 or 4 of a pure
+complex below only sphere rows is a closed homology m-manifold, since those
+rows are the links of L.  Its 2-skeleton certifies it connected with
 H_1(L; Z) = 0 when a spanning tree and the triangles make every edge
 null-homotopic.  Then L is orientable over every field and Poincare duality
 (Munkres, Elements of Algebraic Topology, section 65) gives
@@ -63,7 +69,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _facet_order, _one_kind
+from .complexes import SimplicialComplex, _facet_order, _one_kind, _require_complex
 from .errors import ArgumentOutOfRange
 
 
@@ -284,6 +290,7 @@ def betti(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> BettiVector:
     that row is a combination of the rows of later k-faces, so the rank
     stays.
     """
+    _require_complex(K)
     _require_field(field)
     d = K.dim
     if d == -1:  # only the empty face: reduced homology of the (-1)-sphere
@@ -328,6 +335,7 @@ def _same_size_key(K: SimplicialComplex):
 
 def euler_characteristic(K: SimplicialComplex) -> int:
     """Unreduced Euler characteristic, the alternating face-count sum."""
+    _require_complex(K)
     fv = K.f_vector
     return sum((-1) ** i * fv[i + 1] for i in range(0, K.dim + 1))
 
@@ -373,10 +381,12 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
     pure, facets and ridges are classified by star size; below only sphere
     rows, a 1-dimensional link is a union of cycles (the cycle rule) and a
     2-dimensional link a closed surface with chi = V - F/2 (the
-    closed-surface rule), and a 3- or 4-dimensional link gets the duality
-    certificate.  A 2-dimensional link below a ball row and no bad row is a
-    surface with boundary.  Any other link of dimension <= 1 is counted; the
-    rest are collapsed, and ranked when the collapse gets stuck.
+    closed-surface rule); any link of dimension >= 3 is reduced by inverse
+    0-moves (the stacked rule, which reads no row above), and one the rule
+    leaves undecided gets the duality certificate below only sphere rows
+    when 3- or 4-dimensional.  A 2-dimensional link below a ball row and no
+    bad row is a surface with boundary.  Any other link of dimension <= 1 is
+    counted; the rest are collapsed, and ranked when the collapse gets stuck.
     """
     d = K.dim
     links: dict = {}  # face -> the facets of its link, then its row; in K.faces() order
@@ -411,6 +421,8 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
                 row = _LinkRow(rho, *_closed_surface_class(link, field))
             elif m == 2 and rho not in spoiled:
                 row = _LinkRow(rho, *_surface_class(link))
+            elif pure and m >= 3 and _stacked_class(link, m):
+                row = _LinkRow(rho, "sphere", True)
             elif m in (3, 4) and rho not in unclosed and _duality_class(link, m):
                 row = _LinkRow(rho, "sphere", True)
             elif max(map(len, link)) <= 2:
@@ -440,6 +452,50 @@ def _collapsed_or_ranked_row(rho: tuple, link: list, dim: int, field: FieldSpec)
     if cls is not None:
         return _LinkRow(rho, cls, True)
     return _link_row(rho, betti(SimplicialComplex(link), field), dim)
+
+
+def _stacked_class(link: list, m: int) -> str | None:
+    """"sphere" when inverse 0-moves reduce a pure m-complex, given by its
+    facets, to the boundary of the (m+1)-simplex; None when they do not.
+
+    A vertex w in exactly m + 1 facets whose union minus w is an m-face
+    sigma, not a facet, has star w * d(sigma); trading that star for sigma
+    undoes a stellar subdivision, a PL homeomorphism.  So ending at m + 2
+    vertices proves a stacked m-sphere, a sphere over every field and
+    connected, with no other row read.  A move takes m facets and one vertex,
+    so only F = m V - (m + 2)(m - 1) ends there, with m + 2 facets left.
+    Vertices are bits in first-seen order: no two labels are ever compared.
+    """
+    order = dict.fromkeys(v for f in link for v in f)
+    if len(link) != m * len(order) - (m + 2) * (m - 1):
+        return None
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    star: dict = {b: set() for b in bit.values()}  # vertex bit -> its facets
+    for f in link:
+        x = sum(map(bit.__getitem__, f))  # distinct bits: the sum is the union
+        for v in f:
+            star[bit[v]].add(x)
+    queue = [w for w, s in star.items() if len(s) == m + 1]
+    while queue and len(star) > m + 2:
+        w = queue.pop()
+        around = star.get(w, ())
+        sigma = 0
+        for x in around:
+            sigma |= x
+        sigma ^= w
+        if len(around) != m + 1 or sigma.bit_count() != m + 1 or sigma in star[sigma & -sigma]:
+            continue
+        del star[w]
+        r = sigma
+        while r:
+            b = r & -r
+            r ^= b
+            s = star[b]
+            s -= around
+            s.add(sigma)
+            if len(s) == m + 1:
+                queue.append(b)
+    return "sphere" if len(star) == m + 2 else None
 
 
 def _duality_class(link: list, m: int) -> str | None:
@@ -659,6 +715,7 @@ def _surface_class(triangles: list) -> tuple:
 def is_homology_sphere(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
     """Every link, including the whole complex as the link of the empty face,
     has the reduced homology of a sphere of the matching dimension."""
+    _require_complex(K)
     K.require_pure("homology sphere test")
     if not betti(K, field).is_sphere(K.dim):
         return False
@@ -668,6 +725,7 @@ def is_homology_sphere(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bo
 def is_homology_ball(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
     """Homology of a point, with links that are spheres or balls as demanded
     of a homology manifold, and nonempty boundary."""
+    _require_complex(K)
     K.require_pure("homology ball test")
     if not betti(K, field).is_point():
         return False
@@ -692,6 +750,7 @@ def manifold_report(K: SimplicialComplex, field: FieldSpec = RATIONALS, require_
     the faces whose link has ball homology, i.e. vanishing top homology;
     ``closed`` means empty boundary and orientable.
     """
+    _require_complex(K)
     K.require_pure("manifold recognition")
     if require_connected:
         K.require_connected("manifold recognition")
@@ -731,6 +790,7 @@ def is_semi_eulerian(K: SimplicialComplex) -> bool:
     counted from the faces of K, without ranks: the sum over faces sigma
     strictly containing rho of (-1)^{|sigma|-|rho|-1}.
     """
+    _require_complex(K)
     K.require_pure("semi-Eulerian test")
     for census in K._link_censuses.values():
         if all(row.cls != "bad" for row in census):

@@ -31,7 +31,7 @@ from functools import cached_property
 from math import comb
 from operator import mul, sub
 
-from .complexes import Coloring, SimplicialComplex, _facet_order
+from .complexes import Coloring, SimplicialComplex, _facet_order, _require_complex
 from .errors import (
     ArgumentOutOfRange,
     InvalidPoset,
@@ -355,8 +355,7 @@ def face_poset(K: SimplicialComplex, augment: bool = True) -> GradedPoset:
     Elements come by size, then by ``label_key`` of their labels; each cover
     (f minus a vertex, f) is generated once, in the order of f.
     """
-    if not isinstance(K, SimplicialComplex):
-        raise ArgumentOutOfRange(f"expected a SimplicialComplex, got {type(K).__name__}")
+    _require_complex(K)
     elements: list = sorted(K.faces(), key=_facet_order)
     covers = [(f[:j] + f[j + 1:], f) for f in elements for j in range(len(f))]  # each pair once
     if augment and len(K.facets) > 1:

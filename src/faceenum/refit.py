@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, face, face_key, label_key
+from .complexes import SimplicialComplex, _require_complex, face, face_key, label_key
 from .constructions import (
     BistellarMove,
     MoveLog,
@@ -251,6 +251,7 @@ def two_neighborly_refit(
     retriangulations and one-moves runs until no nonedge remains; the nonedge
     count strictly decreases each cycle.
     """
+    _require_complex(K)
     K.require_pure("refit")
     if K.d < 4:
         raise HypothesisNotMet("refit needs facet size d >= 4")

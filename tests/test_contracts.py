@@ -8,6 +8,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faceenum as fe
 from faceenum import io as fio
@@ -291,3 +293,41 @@ def test_field_spec_takes_only_none_or_a_prime_int(p):
 def test_recognition_rejects_a_field_that_is_no_field_spec(call, field):
     with pytest.raises(ArgumentOutOfRange):
         call(torus7(), field)
+
+
+# every public function that takes a complex first, with its other arguments
+COMPLEX_FUNCTIONS = [
+    fe.audit, fe.betti, fe.manifold_report, fe.is_homology_sphere, fe.is_homology_ball, fe.is_semi_eulerian,
+    fe.is_eulerian, fe.euler_characteristic, fe.f_vector, fe.h_vector, fe.ds_defect, fe.is_stacked_sphere,
+    fe.in_walkup_class, fe.two_neighborly_refit,
+]
+
+NOT_A_COMPLEX = st.one_of(
+    st.lists(st.lists(st.integers(1, 5), max_size=4), max_size=4),
+    st.lists(st.integers(1, 5), max_size=4).map(tuple),
+    st.none(),
+    st.integers(),
+    st.sampled_from([fe.boolean_lattice(2), fe.face_poset(CIRCLE), "K"]),
+)
+
+# a random small complex: up to 4 faces on the vertices 1..6, of sizes 1 to 5
+SMALL_COMPLEXES = st.lists(
+    st.lists(st.integers(1, 6), min_size=1, max_size=5, unique=True), min_size=1, max_size=4,
+).map(fe.SimplicialComplex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(COMPLEX_FUNCTIONS), st.one_of(NOT_A_COMPLEX, SMALL_COMPLEXES))
+def test_complex_functions_return_or_raise_a_library_error(call, K):
+    try:
+        call(K)
+    except FaceEnumError:
+        pass
+
+
+@pytest.mark.parametrize("call", COMPLEX_FUNCTIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("arg", [None, [[1, 2, 3]], ((1, 2), (2, 3)), 5, fe.boolean_lattice(2)],
+                         ids=["none", "facet-list", "facet-tuple", "int", "poset"])
+def test_complex_functions_reject_what_is_no_complex(call, arg):
+    with pytest.raises(ArgumentOutOfRange):
+        call(arg)

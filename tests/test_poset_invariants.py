@@ -33,7 +33,7 @@ import faceenum as fe
 from conftest import rp2_six
 from faceenum.complexes import face_key
 from faceenum.errors import (
-    ArgumentOutOfRange, FaceEnumError, InvalidPoset, NotComparable, NotInCDSpan,
+    ArgumentOutOfRange, FaceEnumError, InvalidPoset, NotComparable, NotInCDSpan, TypeVectorMismatch,
 )
 from faceenum.posets import (
     ABPolynomial, CDIndex, GradedPoset, _toric_tables, cd_words, expand_cd_word, reduced_order_complex_euler,
@@ -70,6 +70,20 @@ def old_flag_f(P) -> FlagVector:
         counts[frozenset(rank[e] for e in chain)] += 1
     counts[frozenset()] = 1
     return FlagVector(d, counts, "f")
+
+
+def old_flag_h(ff: FlagVector) -> FlagVector:
+    """h_S = sum_{T subseteq S} (-1)^{|S - T|} f_T as a double sum: 3^d terms
+    on the full cube."""
+    out = {}
+    for S in ff.entries:
+        s = tuple(S)
+        total = 0
+        for k in range(len(s) + 1):
+            for T in itertools.combinations(s, k):
+                total += (-1) ** (len(s) - k) * ff.entries[frozenset(T)]
+        out[S] = total
+    return FlagVector(ff.d, out, "h")
 
 
 def old_mobius(P, x, y, memo) -> int:
@@ -508,6 +522,33 @@ def test_posets_whose_values_never_repeat_compute_every_element(seed, monkeypatc
     for r in range(2, P.total_rank):  # distinct numbers of covers below
         covered = [len(P._lower[e]) for e in P.elements if rank[e] == r]
         assert len(set(covered)) == len(covered)
+
+
+FLAG_H_INPUTS = {
+    **{f"B{d}": INPUTS[f"B{d}"] for d in range(9)},
+    "B9": lambda: fe.boolean_lattice(9),
+    **{name: INPUTS[name] for name in ("torus_poset", "cp2_9", "kl_11_2", "rp2", "wedge_of_3_spheres")},
+    **{f"face_poset_{name}": INPUTS[f"face_poset_{name}"] for name in LABELLED},
+}
+
+
+@pytest.mark.parametrize("name", list(FLAG_H_INPUTS))
+def test_flag_h_transform_matches_the_double_sum(name):
+    ff = fe.flag_vectors(FLAG_H_INPUTS[name]())[0]
+    assert flag_h_from_flag_f(ff) == old_flag_h(ff)
+    # any key set that holds every subset of each of its keys
+    low = FlagVector(ff.d, {S: v for S, v in ff.entries.items() if len(S) <= 2}, "f")
+    assert flag_h_from_flag_f(low) == old_flag_h(low)
+
+
+@pytest.mark.parametrize("entries", [
+    {frozenset(): 1, frozenset({1, 2}): 3},
+    {frozenset({1}): 2, frozenset({2}): 2, frozenset({1, 2}): 3},
+    {frozenset(): 1, frozenset({1}): 2, frozenset({1, 3}): 3},
+], ids=["no-singletons", "no-empty-set", "no-3"])
+def test_flag_h_of_keys_missing_a_subset_is_a_type_mismatch(entries):
+    with pytest.raises(TypeVectorMismatch):
+        flag_h_from_flag_f(FlagVector(3, entries, "f"))
 
 
 def test_b9_matches_the_oracles_and_the_multinomials():
