@@ -21,7 +21,7 @@ from .errors import (
     TargetOutOfRange,
     UnknownSpace,
 )
-from .homology import RATIONALS, FieldSpec, betti, manifold_report
+from .homology import RATIONALS, FieldSpec, _stacked_sphere, betti, manifold_report
 from .trees import SimpleTree, central_retriangulation, validate_simple_tree
 from .vectors import _f_after_moves, h_vector
 
@@ -166,10 +166,13 @@ def stacked_sphere(n: int, d: int) -> SimplicialComplex:
 
 def is_stacked_sphere(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
     """Kalai's criterion h_1 = h_2, valid for closed homology manifolds of
-    dimension at least three."""
+    dimension at least three.  A complex that inverse 0-moves reduce to the
+    boundary of a simplex is a stacked sphere without it."""
     _require_complex(K)
     if K.d < 4:
         raise HypothesisNotMet("criterion needs facet size d >= 4")
+    if _stacked_sphere(K):
+        return True
     rep = manifold_report(K, field)
     if not rep.closed:
         raise HypothesisNotMet("criterion applies to closed homology manifolds")

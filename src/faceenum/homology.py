@@ -13,50 +13,53 @@ cross-multiplication with gcd normalization (no floating point, no fractions).
 a pivot of the boundary from the (k+1)-faces is left out of the k-th
 boundary's rows, which keeps the rank since the boundary of a boundary is 0.
 
-The sphere and manifold predicates share one link census per complex and
-field: a single walk over the nonempty faces that classifies each face's link
-once (sphere, ball or bad) and records whether it is connected.  The census is
-cached on the immutable complex.  The Eulerian predicates need only face
-counts: they read a cached census when one has no bad row, and count
-otherwise; they never build one.  Links of links need no second walk, since
-lk_{lk rho}(sigma) = lk_K(rho u sigma): a link is a homology manifold without
-boundary exactly when every face strictly containing rho has a sphere link.
+Recognition starts from PL certificates: inverse 0-moves (Bjorner-Lutz,
+``_stacked_class``) take a stacked sphere to the boundary of a simplex, and
+every face link of a PL sphere is again one.  So a whole complex that
+reduces is a homology sphere, closed and orientable, with no rank taken.
 
-Each link is built once, in one pass over the facets: a face rho of a
-facet f and its complement f - rho, a facet of lk rho, sit at the same place
-in the k-subsets of f and the reversed (|f| - k)-subsets.  Each link is then
-decided in six steps: from its star size, else counted, else by inverse
-0-moves, else by a duality certificate, else by a collapse certificate, else
-by ranks.  The walk goes from the largest faces down, so the rows above a
-face exist when it is classified.  In a pure complex a facet's link is
-S^-1, and a ridge in 1, 2 or more facets has a point, S^0 or a bad link.
-Below only sphere rows, a 1-dimensional link has two edges at each vertex,
-so it is a union of cycles: a sphere when one walk covers every edge, bad
-and disconnected otherwise (the cycle rule).  Below only sphere rows, a
-2-dimensional link is a closed surface, each edge on two
-triangles, so chi = V - F/2 and only connectivity is left to find: a sphere
-when connected with chi = 2, a ball when RP^2 over a field of odd or zero
-characteristic, and bad otherwise (the closed-surface rule).  Below a ball
-row and no bad row, it is a surface with boundary, a ball when a disk.  Any
-other link of dimension <= 1 is a graph, and its Betti numbers are counts
-(components, and E - V + components).  A link of dimension m >= 3 of a
-pure complex is first reduced by inverse 0-moves (Bjorner-Lutz): trading a
-star w * d(sigma), sigma no facet, for sigma undoes a stellar subdivision,
-so a link that ends at the boundary of the (m+1)-simplex is a stacked
-sphere.  This needs no rows above, and it decides every such link of a
-complex in Walkup's class.  A link L of dimension m = 3 or 4 of a pure
-complex below only sphere rows is a closed homology m-manifold, since those
-rows are the links of L.  Its 2-skeleton certifies it connected with
-H_1(L; Z) = 0 when a spanning tree and the triangles make every edge
-null-homotopic.  Then L is orientable over every field and Poincare duality
-(Munkres, Elements of Algebraic Topology, section 65) gives
-b_{m-1} = b_1 = 0: L is a homology 3-sphere, or a homology 4-sphere when
-chi(L) = 2.  Every other link is collapsed greedily.  If it collapses to
-one vertex it is contractible, a ball.  If it does once one open facet F of
-dimension m = dim K - |rho| is removed, then by excision its reduced
-homology is H(F, dF), that of S^m, over every field.  Only the links where
-the collapse gets stuck (bad links, and acyclic ones such as the dunce hat)
-are ranked.  ``betti`` of a whole complex always ranks.
+The sphere and manifold predicates share one link census per complex and
+field: one row per nonempty face, whether its link is a sphere, a ball or
+bad, and whether it is connected.  The census is cached on the immutable
+complex.  When K is pure of dimension >= 4 every vertex link is tried
+first: each face rho through a certified vertex v has the PL sphere
+lk_K(rho) = lk_{lk v}(rho - v) as its link, so its row needs no link.  In
+Walkup's class, the KL family among it, that is every face.  The other faces
+are walked from the largest down, so the rows above a face exist when it is
+classified, and each link is built once, in one pass over the facets: a
+face rho of a facet f and its complement f - rho, a facet of lk rho, sit at
+the same place in the k-subsets of f and the reversed (|f| - k)-subsets.
+The Eulerian predicates need only face counts: they read a cached census
+when one has no bad row, and count otherwise; they never build one.  Links
+of links need no second walk, since lk_{lk rho}(sigma) = lk_K(rho u sigma):
+lk rho is a homology manifold without boundary exactly when every face
+strictly containing rho has a sphere row.
+
+A walked link is decided from its star size, else counted, else by inverse
+0-moves, else by a duality certificate, else by a collapse certificate,
+else by ranks.  In a pure complex a facet's link is S^-1, and a ridge in
+1, 2 or more facets has a point, S^0 or a bad link.  Below only sphere
+rows, a 1-dimensional link is a union of cycles, a sphere when one walk
+covers every edge (the cycle rule), and a 2-dimensional link a closed
+surface with chi = V - F/2, a sphere when connected with chi = 2 and a ball
+when RP^2 over a field of odd or zero characteristic (the closed-surface
+rule).  Below a ball row and no bad row, it is a surface with boundary, a
+ball when a disk.  Any other link of dimension <= 1 is a graph, and its
+Betti numbers are counts.  A link of dimension m >= 3, but a vertex link
+already tried, is reduced by inverse 0-moves, which read no row above.  A
+link L of dimension m = 3 or 4 below only sphere rows is a closed homology
+m-manifold.  Its 2-skeleton certifies it connected with H_1(L; Z) = 0 when
+a spanning tree and the triangles make every edge null-homotopic.  Then L
+is orientable over every field and Poincare duality (Munkres, Elements of
+Algebraic Topology, section 65) gives b_{m-1} = b_1 = 0: L is a homology
+3-sphere, or a homology 4-sphere when chi(L) = 2.  Only a PL certificate
+carries over to the faces through a vertex; duality, the collapse and the
+ranks prove homology alone.  Every other link is collapsed greedily.  If
+it collapses to one vertex it is contractible, a ball.  If it does once one
+open facet F of dimension m = dim K - |rho| is removed, then by excision
+its reduced homology is H(F, dF), that of S^m, over every field.  Only the
+links where the collapse gets stuck (bad links, and acyclic ones such as
+the dunce hat) are ranked.  ``betti`` of a whole complex always ranks.
 
 The construction layer (trees, constructions, refit, catalog) runs its
 homology checks over Q; only the recognition predicates take a field.
@@ -372,38 +375,43 @@ def _link_census(K: SimplicialComplex, field: FieldSpec) -> tuple:
 
 
 def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
-    """The census walk.  One pass over the facets builds every link: for a
-    facet f and each size k, the k-subsets of f zipped with the reversed
-    (|f| - k)-subsets, both in ``combinations`` order, pair each face rho of
-    f with f - rho, a facet of lk rho, so the links come out in
-    ``K.faces()`` order.  The faces are then classified from the largest
-    down, so the rows above a face exist when it is classified.  When K is
-    pure, facets and ridges are classified by star size; below only sphere
-    rows, a 1-dimensional link is a union of cycles (the cycle rule) and a
-    2-dimensional link a closed surface with chi = V - F/2 (the
-    closed-surface rule); any link of dimension >= 3 is reduced by inverse
-    0-moves (the stacked rule, which reads no row above), and one the rule
-    leaves undecided gets the duality certificate below only sphere rows
-    when 3- or 4-dimensional.  A 2-dimensional link below a ball row and no
-    bad row is a surface with boundary.  Any other link of dimension <= 1 is
-    counted; the rest are collapsed, and ranked when the collapse gets stuck.
+    """The census walk.  When K is pure of dimension >= 4, each face rho
+    through a vertex v that ``_certified_vertices`` certifies gets a sphere
+    row with no link built, connected unless rho is a ridge: lk_K(rho) =
+    lk_{lk v}(rho - v) is a PL sphere.  One pass over the facets builds the
+    links of the other faces: for a facet f and each size k, the k-subsets
+    of f zipped with the reversed (|f| - k)-subsets pair each face rho of f
+    with f - rho, a facet of lk rho.  They are classified from the largest
+    down, so the rows above a face exist when it is classified: facets and
+    ridges of a pure K by star size; below only sphere rows, a 1-dimensional
+    link by the cycle rule and a 2-dimensional one by the closed-surface
+    rule; a link of dimension >= 3, but a vertex link the certificate tried,
+    by inverse 0-moves, and one they leave undecided by the duality
+    certificate below only sphere rows when 3- or 4-dimensional.  A
+    2-dimensional link below a ball row and no bad row is a surface with
+    boundary.  Any other link of dimension <= 1 is counted; the rest are
+    collapsed, and ranked when the collapse gets stuck.
     """
     d = K.dim
-    links: dict = {}  # face -> the facets of its link, then its row; in K.faces() order
-    by_size = [[] for _ in range(d + 2)]  # the faces of each size
+    pure = K.is_pure()
+    certified = _certified_vertices(K)
+    links: dict = {}  # uncertified face -> the facets of its link, then its row
+    by_size = [[] for _ in range(d + 2)]  # the uncertified faces of each size
     combinations = itertools.combinations
     for f in K.facets:
-        n = len(f)
-        subsets = [[*combinations(f, k)] for k in range(n + 1)]
+        u = tuple(v for v in f if v not in certified) if certified else f
+        n = len(u)
+        subsets = [[*combinations(u, k)] for k in range(n + 1)]
         for k in range(1, n + 1):
             for rho, lk in zip(subsets[k], reversed(subsets[n - k])):
+                if n < len(f):  # f - rho keeps the certified vertices of f
+                    lk = tuple(v for v in f if v not in rho)
                 link = links.get(rho)
                 if link is None:
                     links[rho] = [lk]
                     by_size[k].append(rho)
                 else:
                     link.append(lk)
-    pure = K.is_pure()
     unclosed = set()  # faces of sizes d - 4 to d - 1 below a ball or bad row
     spoiled = set()  # faces of size d - 2 below a bad row
     for k in range(d + 1, 0, -1):
@@ -421,7 +429,7 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
                 row = _LinkRow(rho, *_closed_surface_class(link, field))
             elif m == 2 and rho not in spoiled:
                 row = _LinkRow(rho, *_surface_class(link))
-            elif pure and m >= 3 and _stacked_class(link, m):
+            elif pure and m >= 3 and (k > 1 or certified is None) and _stacked_class(link, m):
                 row = _LinkRow(rho, "sphere", True)
             elif m in (3, 4) and rho not in unclosed and _duality_class(link, m):
                 row = _LinkRow(rho, "sphere", True)
@@ -435,7 +443,27 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
                 for j in range(max(d - 4, 1), min(k, d)):
                     unclosed.update(combinations(rho, j))
             links[rho] = row
-    return tuple(links.values())
+    if not certified:
+        return tuple(links.values())
+    faces = itertools.islice(K.faces(), 1, None)  # the empty face comes first
+    return tuple(links.get(rho) or _LinkRow(rho, "sphere", len(rho) != d) for rho in faces)
+
+
+def _certified_vertices(K: SimplicialComplex) -> set | None:
+    """The vertices whose links inverse 0-moves reduce to the boundary of a
+    simplex, each link a stacked, so PL, sphere; None, with no link tried,
+    unless K is pure of dimension >= 4."""
+    m = K.dim - 1
+    if m < 3 or not K.is_pure():
+        return None
+    return {v for v, star in K._vertex_to_facets.items()
+            if _stacked_class([tuple(w for w in f if w != v) for f in star], m)}
+
+
+def _stacked_sphere(K: SimplicialComplex) -> bool:
+    """Whether inverse 0-moves reduce a pure K of dimension >= 3 to the
+    boundary of a simplex: a stacked sphere, orientable over every field."""
+    return K.is_pure() and K.dim >= 3 and _stacked_class(K.facets, K.dim) is not None
 
 
 def _link_row(rho: tuple, b: BettiVector, dim: int) -> _LinkRow:
@@ -717,6 +745,8 @@ def is_homology_sphere(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bo
     has the reduced homology of a sphere of the matching dimension."""
     _require_complex(K)
     K.require_pure("homology sphere test")
+    if _stacked_sphere(K):
+        return True
     if not betti(K, field).is_sphere(K.dim):
         return False
     return all(row.cls == "sphere" for row in _link_census(K, field))
@@ -760,7 +790,7 @@ def manifold_report(K: SimplicialComplex, field: FieldSpec = RATIONALS, require_
         return ManifoldReport(False, None, False, False, witness, field)
     boundary_faces = [row.face for row in census if row.cls == "ball"]
     boundary = SimplicialComplex(boundary_faces) if boundary_faces else None
-    orientable = _orientable(K, boundary, field)
+    orientable = (boundary is None and _stacked_sphere(K)) or _orientable(K, boundary, field)
     closed = boundary is None and orientable
     return ManifoldReport(True, boundary, orientable, closed, None, field)
 

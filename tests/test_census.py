@@ -454,13 +454,21 @@ CERTIFIED = [
 ]
 
 
+def _without_vertex_certificate(monkeypatch):
+    """From now on the census tries no vertex link first, so every face goes
+    through the walk's rules."""
+    monkeypatch.setattr(homology, "_certified_vertices", lambda K: None)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("name,K", CERTIFIED, ids=[n for n, _ in CERTIFIED])
 def test_census_collapses_no_closed_link_of_dimension_3_or_4(monkeypatch, name, K, field):
     """These manifolds lie in Walkup's class, so every link of dimension 3
-    or more is a stacked sphere and inverse 0-moves certify it before
-    duality or a collapse is tried.  No link is collapsed: not even the 15
-    five-dimensional vertex links of KL(15,3)."""
+    or more is a stacked sphere.  Without the vertex certificate, the walk's
+    inverse 0-moves certify each of them before duality or a collapse is
+    tried.  No link is collapsed: not even the 15 five-dimensional vertex
+    links of KL(15,3)."""
+    _without_vertex_certificate(monkeypatch)
     decided = _stacked_dims(monkeypatch)
     rows, dims = _collapsed_dims(monkeypatch, K, field)
     assert all(row.cls == "sphere" for row in rows)
@@ -531,8 +539,10 @@ def test_census_builds_no_link_of_a_facet_or_a_ridge(monkeypatch, name, K):
     """In a pure complex the star size alone gives the rows of the facets
     (dim K + 1 vertices) and the ridges (dim K vertices): no classifier sees
     them.  Every link comes out of the pass over the facets, so the census
-    never asks K for the facets containing a face."""
+    never asks K for the facets containing a face.  The vertex certificate
+    is off, or it would leave the walk no link to classify."""
     K = _fresh(K)
+    _without_vertex_certificate(monkeypatch)
     calls = {classifier: _spy(monkeypatch, classifier) for classifier in LINK_CLASSIFIERS + FACE_CLASSIFIERS}
     monkeypatch.setattr(fe.SimplicialComplex, "facets_containing", lambda self, rho: pytest.fail("asked for a star"))
     rows = _link_census(K, fe.RATIONALS)
@@ -543,6 +553,30 @@ def test_census_builds_no_link_of_a_facet_or_a_ridge(monkeypatch, name, K):
     assert sum(len(row.face) >= K.dim for row in rows) == K.f_vector[K.dim] + K.f_vector[K.dim + 1]
     monkeypatch.undo()
     _assert_rows_match_oracle(K, fe.RATIONALS)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_census_certifies_the_vertex_links_of_kl15_3_and_builds_no_link(monkeypatch, field):
+    """Every vertex link of KL(15,3) is a stacked 5-sphere.  Inverse 0-moves
+    reduce each of the 15 once, and then every row follows from the size of
+    its face: no other link is reduced, and no classifier sees a link."""
+    K = _fresh(fe.kuhnel_lassmann(15, 3))
+    reduced, real = [], homology._stacked_class
+
+    def counting_stacked(link, m):
+        cls = real(link, m)
+        reduced.append((m, cls))
+        return cls
+
+    monkeypatch.setattr(homology, "_stacked_class", counting_stacked)
+    calls = {classifier: _spy(monkeypatch, classifier) for classifier in LINK_CLASSIFIERS + FACE_CLASSIFIERS}
+    rows = _link_census(K, field)
+    assert reduced == [(5, "sphere")] * 15
+    assert all(c == [] for c in calls.values())
+    assert [row.face for row in rows] == [rho for rho in K.faces() if rho]
+    assert all(row == (row.face, "sphere", len(row.face) != K.dim) for row in rows)
+    monkeypatch.undo()
+    _assert_rows_match_star_walk(K, field)
 
 
 # ---------------------------------------------------------------------------
