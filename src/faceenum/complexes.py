@@ -230,6 +230,12 @@ class SimplicialComplex:
         return {}
 
     @cached_property
+    def _vertex_certificates(self) -> dict:
+        """The vertices with certified PL sphere links, once per complex and
+        not per field, filled by ``homology._certified_vertices``."""
+        return {}
+
+    @cached_property
     def _top_pivot_columns(self) -> dict:
         """Pivot columns of the top boundary matrix per field, filled by
         ``homology._top_columns``."""

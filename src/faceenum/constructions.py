@@ -90,6 +90,9 @@ def check_move(K: SimplicialComplex, move: BistellarMove) -> list:
     facet beyond those contains F (so the link of F is exactly boundary(G)).
     Returns the facets that contain F, which a legal move replaces.
     """
+    _require_complex(K)
+    if not isinstance(move, BistellarMove):
+        raise ArgumentOutOfRange(f"expected a BistellarMove, got {type(move).__name__}")
     F, G = move.F, move.G
     if set(F) & set(G):
         raise IllegalMove("F and G must be disjoint")
@@ -166,8 +169,9 @@ def stacked_sphere(n: int, d: int) -> SimplicialComplex:
 
 def is_stacked_sphere(K: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
     """Kalai's criterion h_1 = h_2, valid for closed homology manifolds of
-    dimension at least three.  A complex that inverse 0-moves reduce to the
-    boundary of a simplex is a stacked sphere without it."""
+    dimension at least three.  A complex with the facet count of a stacked
+    sphere that bistellar moves reduce to the boundary of a simplex is one
+    without it."""
     _require_complex(K)
     if K.d < 4:
         raise HypothesisNotMet("criterion needs facet size d >= 4")

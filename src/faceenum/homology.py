@@ -13,53 +13,34 @@ cross-multiplication with gcd normalization (no floating point, no fractions).
 a pivot of the boundary from the (k+1)-faces is left out of the k-th
 boundary's rows, which keeps the rank since the boundary of a boundary is 0.
 
-Recognition starts from PL certificates: inverse 0-moves (Bjorner-Lutz,
-``_stacked_class``) take a stacked sphere to the boundary of a simplex, and
-every face link of a PL sphere is again one.  So a whole complex that
-reduces is a homology sphere, closed and orientable, with no rank taken.
+Recognition starts from PL certificates.  One reducer, ``_pl_class``,
+applies the facet-decreasing bistellar moves of Bjorner and Lutz: it trades
+the star A * dB of a face A for dA * B when |A| < |B| and B is no face, a PL
+homeomorphism, and it proves a PL sphere when it reaches the boundary of a
+simplex.  Every face link of a PL sphere is again one.  So a whole complex
+with the facet count of a stacked sphere that reduces is a homology sphere,
+closed and orientable, with no rank taken.
 
 The sphere and manifold predicates share one link census per complex and
 field: one row per nonempty face, whether its link is a sphere, a ball or
 bad, and whether it is connected.  The census is cached on the immutable
-complex.  When K is pure of dimension >= 4 every vertex link is tried
-first: each face rho through a certified vertex v has the PL sphere
-lk_K(rho) = lk_{lk v}(rho - v) as its link, so its row needs no link.  In
-Walkup's class, the KL family among it, that is every face.  The other faces
-are walked from the largest down, so the rows above a face exist when it is
-classified, and each link is built once, in one pass over the facets: a
-face rho of a facet f and its complement f - rho, a facet of lk rho, sit at
-the same place in the k-subsets of f and the reversed (|f| - k)-subsets.
-The Eulerian predicates need only face counts: they read a cached census
-when one has no bad row, and count otherwise; they never build one.  Links
-of links need no second walk, since lk_{lk rho}(sigma) = lk_K(rho u sigma):
+complex.  When K is pure of dimension >= 4 every vertex link goes to the
+reducer first, once per complex, and each face through a certified vertex
+gets a sphere row with no link built.  In Walkup's class, the KL family
+among it, and on CP^2_9 and (S^2xS^2)#(S^2xS^2), that is every face, and
+the rows are the same over every field.  The other faces are walked from
+the largest down, each link built once in one pass over the facets (see
+``_census_rows``).  A walked link is decided from its star size, else
+counted, else by the reducer, else by a collapse certificate, else by
+ranks.  Only the reducer's PL certificate carries over to the faces through
+a vertex; the collapse and the ranks prove homology alone.  Only the links
+where the collapse gets stuck (bad links, and acyclic ones such as the
+dunce hat) are ranked.  ``betti`` of a whole complex always ranks.  The
+Eulerian predicates need only face counts: they read a cached census when
+one has no bad row, and count otherwise; they never build one.  Links of
+links need no second walk, since lk_{lk rho}(sigma) = lk_K(rho u sigma):
 lk rho is a homology manifold without boundary exactly when every face
 strictly containing rho has a sphere row.
-
-A walked link is decided from its star size, else counted, else by inverse
-0-moves, else by a duality certificate, else by a collapse certificate,
-else by ranks.  In a pure complex a facet's link is S^-1, and a ridge in
-1, 2 or more facets has a point, S^0 or a bad link.  Below only sphere
-rows, a 1-dimensional link is a union of cycles, a sphere when one walk
-covers every edge (the cycle rule), and a 2-dimensional link a closed
-surface with chi = V - F/2, a sphere when connected with chi = 2 and a ball
-when RP^2 over a field of odd or zero characteristic (the closed-surface
-rule).  Below a ball row and no bad row, it is a surface with boundary, a
-ball when a disk.  Any other link of dimension <= 1 is a graph, and its
-Betti numbers are counts.  A link of dimension m >= 3, but a vertex link
-already tried, is reduced by inverse 0-moves, which read no row above.  A
-link L of dimension m = 3 or 4 below only sphere rows is a closed homology
-m-manifold.  Its 2-skeleton certifies it connected with H_1(L; Z) = 0 when
-a spanning tree and the triangles make every edge null-homotopic.  Then L
-is orientable over every field and Poincare duality (Munkres, Elements of
-Algebraic Topology, section 65) gives b_{m-1} = b_1 = 0: L is a homology
-3-sphere, or a homology 4-sphere when chi(L) = 2.  Only a PL certificate
-carries over to the faces through a vertex; duality, the collapse and the
-ranks prove homology alone.  Every other link is collapsed greedily.  If
-it collapses to one vertex it is contractible, a ball.  If it does once one
-open facet F of dimension m = dim K - |rho| is removed, then by excision
-its reduced homology is H(F, dF), that of S^m, over every field.  Only the
-links where the collapse gets stuck (bad links, and acyclic ones such as
-the dunce hat) are ranked.  ``betti`` of a whole complex always ranks.
 
 The construction layer (trees, constructions, refit, catalog) runs its
 homology checks over Q; only the recognition predicates take a field.
@@ -365,13 +346,18 @@ def _link_census(K: SimplicialComplex, field: FieldSpec) -> tuple:
 
     The class is "sphere" when the link has the reduced homology of
     S^{dim K - |rho|}, "ball" when it has that of a point, and "bad" otherwise.
+    Once every vertex is certified the rows do not depend on the field.
     """
     _require_field(field)
     cache = K._link_censuses
-    rows = cache.get(field)
-    if rows is None:
-        rows = cache[field] = _census_rows(K, field)
-    return rows
+    if field not in cache:
+        certified = _certified_vertices(K)
+        if certified is None or len(certified) < len(K.vertices):
+            cache[field] = _census_rows(K, field)
+        else:  # every row a PL sphere's, connected unless its face is a ridge
+            cache[field] = next(iter(cache.values()), None) or tuple(
+                _LinkRow(rho, "sphere", len(rho) != K.dim) for rho in itertools.islice(K.faces(), 1, None))
+    return cache[field]
 
 
 def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
@@ -385,12 +371,10 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
     down, so the rows above a face exist when it is classified: facets and
     ridges of a pure K by star size; below only sphere rows, a 1-dimensional
     link by the cycle rule and a 2-dimensional one by the closed-surface
-    rule; a link of dimension >= 3, but a vertex link the certificate tried,
-    by inverse 0-moves, and one they leave undecided by the duality
-    certificate below only sphere rows when 3- or 4-dimensional.  A
-    2-dimensional link below a ball row and no bad row is a surface with
-    boundary.  Any other link of dimension <= 1 is counted; the rest are
-    collapsed, and ranked when the collapse gets stuck.
+    rule; below a ball row and no bad row, a 2-dimensional link as a surface
+    with boundary; a link of dimension >= 3, but a vertex link already
+    tried, by ``_pl_class``.  Any other link of dimension <= 1 is counted;
+    the rest are collapsed, and ranked when the collapse gets stuck.
     """
     d = K.dim
     pure = K.is_pure()
@@ -412,7 +396,7 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
                     by_size[k].append(rho)
                 else:
                     link.append(lk)
-    unclosed = set()  # faces of sizes d - 4 to d - 1 below a ball or bad row
+    unclosed = set()  # faces of sizes d - 2 and d - 1 below a ball or bad row
     spoiled = set()  # faces of size d - 2 below a bad row
     for k in range(d + 1, 0, -1):
         m = d - k if pure else None  # the dimension of each link; None: mixed
@@ -429,9 +413,7 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
                 row = _LinkRow(rho, *_closed_surface_class(link, field))
             elif m == 2 and rho not in spoiled:
                 row = _LinkRow(rho, *_surface_class(link))
-            elif pure and m >= 3 and (k > 1 or certified is None) and _stacked_class(link, m):
-                row = _LinkRow(rho, "sphere", True)
-            elif m in (3, 4) and rho not in unclosed and _duality_class(link, m):
+            elif pure and m >= 3 and (k > 1 or certified is None) and _pl_class(link, m):
                 row = _LinkRow(rho, "sphere", True)
             elif max(map(len, link)) <= 2:
                 row = _link_row(rho, _graph_betti(link, field), d)
@@ -440,7 +422,7 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
             if pure and row.cls != "sphere":
                 if row.cls == "bad" and m < 2 and d >= 3:
                     spoiled.update(combinations(rho, d - 2))
-                for j in range(max(d - 4, 1), min(k, d)):
+                for j in range(max(d - 2, 1), min(k, d)):
                     unclosed.update(combinations(rho, j))
             links[rho] = row
     if not certified:
@@ -450,20 +432,26 @@ def _census_rows(K: SimplicialComplex, field: FieldSpec) -> tuple:
 
 
 def _certified_vertices(K: SimplicialComplex) -> set | None:
-    """The vertices whose links inverse 0-moves reduce to the boundary of a
-    simplex, each link a stacked, so PL, sphere; None, with no link tried,
-    unless K is pure of dimension >= 4."""
+    """The vertices whose links ``_pl_class`` certifies PL spheres, tried
+    once per complex; None, with no link tried, unless K is pure of
+    dimension >= 4."""
     m = K.dim - 1
-    if m < 3 or not K.is_pure():
-        return None
-    return {v for v, star in K._vertex_to_facets.items()
-            if _stacked_class([tuple(w for w in f if w != v) for f in star], m)}
+    cache = K._vertex_certificates
+    if "vertices" not in cache:
+        cache["vertices"] = None if m < 3 or not K.is_pure() else {
+            v for v, star in K._vertex_to_facets.items() if _pl_class([tuple(w for w in f if w != v) for f in star], m)}
+    return cache["vertices"]
 
 
 def _stacked_sphere(K: SimplicialComplex) -> bool:
-    """Whether inverse 0-moves reduce a pure K of dimension >= 3 to the
-    boundary of a simplex: a stacked sphere, orientable over every field."""
-    return K.is_pure() and K.dim >= 3 and _stacked_class(K.facets, K.dim) is not None
+    """Whether a pure K of dimension m >= 3 has the facet count F = m V -
+    (m + 2)(m - 1) of a stacked sphere, which turns any other K away after
+    one count, and ``_pl_class`` certifies it a PL sphere, so orientable over
+    every field.  Then it is stacked: that count is the equality case of the
+    lower bound theorem (Barnette; Kalai, 1987)."""
+    m = K.dim
+    return (m >= 3 and K.is_pure() and len(K.facets) == m * len(K.vertices) - (m + 2) * (m - 1)
+            and _pl_class(K.facets, m) is not None)
 
 
 def _link_row(rho: tuple, b: BettiVector, dim: int) -> _LinkRow:
@@ -482,106 +470,97 @@ def _collapsed_or_ranked_row(rho: tuple, link: list, dim: int, field: FieldSpec)
     return _link_row(rho, betti(SimplicialComplex(link), field), dim)
 
 
-def _stacked_class(link: list, m: int) -> str | None:
-    """"sphere" when inverse 0-moves reduce a pure m-complex, given by its
-    facets, to the boundary of the (m+1)-simplex; None when they do not.
+def _pl_class(link: list, m: int) -> str | None:
+    """"sphere" when facet-decreasing bistellar moves (Bjorner-Lutz) reduce a
+    pure m-complex, given by its facets, to the boundary of the
+    (m+1)-simplex; None when they get stuck.
 
-    A vertex w in exactly m + 1 facets whose union minus w is an m-face
-    sigma, not a facet, has star w * d(sigma); trading that star for sigma
-    undoes a stellar subdivision, a PL homeomorphism.  So ending at m + 2
-    vertices proves a stacked m-sphere, a sphere over every field and
-    connected, with no other row read.  A move takes m facets and one vertex,
-    so only F = m V - (m + 2)(m - 1) ends there, with m + 2 facets left.
-    Vertices are bits in first-seen order: no two labels are ever compared.
+    A face A of size k < (m + 2) / 2 on m + 2 - k facets that span A u B,
+    |B| = m + 2 - k, has link dB; when B is no face, trading the star A * dB
+    for dA * B, a PL ball for one with the same boundary, is a PL
+    homeomorphism.  So ending at m + 2 facets on m + 2 vertices proves a PL
+    m-sphere, over every field and connected, with no other row read.
+    Inverse 0-moves (k = 1) go first; they alone take a stacked sphere down.
+    Only then are the faces of sizes 2 to (m + 1) // 2 counted, and every
+    move updates their counts and queues those that reach m + 2 - k.
     """
-    order = dict.fromkeys(v for f in link for v in f)
-    if len(link) != m * len(order) - (m + 2) * (m - 1):
+    bit, facets = _bitmasks(link)
+    if len(link) < m * len(bit) - (m + 2) * (m - 1):  # below the lower bound theorem: no sphere
         return None
-    bit = {v: 1 << i for i, v in enumerate(order)}
     star: dict = {b: set() for b in bit.values()}  # vertex bit -> its facets
-    for f in link:
-        x = sum(map(bit.__getitem__, f))  # distinct bits: the sum is the union
+    for f, x in zip(link, facets):
         for v in f:
             star[bit[v]].add(x)
-    queue = [w for w, s in star.items() if len(s) == m + 1]
-    while queue and len(star) > m + 2:
-        w = queue.pop()
-        around = star.get(w, ())
-        sigma = 0
-        for x in around:
-            sigma |= x
-        sigma ^= w
-        if len(around) != m + 1 or sigma.bit_count() != m + 1 or sigma in star[sigma & -sigma]:
+    queues = [[w for w, s in star.items() if len(s) == m + 1]]  # queues[k - 1]: faces of size k
+    degree: dict = {}  # face of size 2 .. (m + 1) // 2 -> its number of facets, once counted
+    count = len(link)
+    while len(star) != m + 2:  # then the m + 2 facets of dDelta are left, or fewer: no sphere
+        k = 1 if queues[0] else next((j for j, queue in enumerate(queues, 1) if queue), 0)
+        if not k:
+            sizes = range(2, (m + 3) // 2)
+            if degree or not sizes:  # the larger faces are counted already, or there are none
+                return None
+            level = list(star.items())  # (face, its facets), from the vertices up
+            for j in sizes:
+                level = [(f | c, t) for f, s in level for c, u in star.items() if c > f and (t := s & u)]
+                degree.update((f, len(t)) for f, t in level)
+                queues.append([f for f, t in level if len(t) == m + 2 - j])
             continue
-        del star[w]
-        r = sigma
-        while r:
+        A = queues[k - 1].pop()
+        if k == 1:
+            around = star.get(A, ())
+        else:
+            around = {x for x in star[A & -A] if x & A == A} if degree[A] == m + 2 - k else ()
+        if len(around) != m + 2 - k:
+            continue
+        B = 0
+        for x in around:
+            B |= x
+        B ^= A
+        low = star[B & -B]
+        if B.bit_count() != m + 2 - k or (B in low if k == 1 else any(x & B == B for x in low)):
+            continue
+        count += 2 * k - m - 2
+        if k == 1:
+            del star[A]
+        new = [B] if k == 1 else [A ^ a | B for a in _members(A)]
+        r = B if k == 1 else A | B
+        while r:  # the vertices of dA * B: each keeps the new facets on it
             b = r & -r
             r ^= b
             s = star[b]
             s -= around
-            s.add(sigma)
+            if k == 1:
+                s.add(B)
+            else:
+                s.update(new if b & B else [y for y in new if y & b])
             if len(s) == m + 1:
-                queue.append(b)
-    return "sphere" if len(star) == m + 2 else None
+                queues[0].append(b)
+        if degree:  # a face f in A u B lies on |B - f| facets of A * dB and |A - f| of dA * B
+            for j in range(2, len(queues) + 1):
+                for f in map(sum, itertools.combinations(_members(A | B), j)):
+                    n = degree[f] = degree[f] + (A & ~f).bit_count() - (B & ~f).bit_count()
+                    if n == m + 2 - j:
+                        queues[j - 1].append(f)
+    return "sphere" if count == m + 2 else None
 
 
-def _duality_class(link: list, m: int) -> str | None:
-    """"sphere" when the 2-skeleton certifies a closed homology m-manifold,
-    m = 3 or 4, given by its facets, to be a homology m-sphere over every
-    field; None when it does not.
+def _bitmasks(link: list) -> tuple:
+    """(bit, facets): each vertex of a complex, given by its facets, as a bit
+    in first-seen order, and the facets as the sums of their bits.  No two
+    labels are ever compared."""
+    bit = {v: 1 << i for i, v in enumerate(dict.fromkeys(v for f in link for v in f))}
+    return bit, [sum(map(bit.__getitem__, f)) for f in link]
 
-    The link L is connected and H_1(L; Z) = 0 when a spanning tree of its
-    graph reaches every vertex and every edge is then known to bound: an edge
-    of the tree is known, and a triangle with two known edges makes its third
-    edge known.  Then L is orientable over every field, its orientation
-    character factoring through H_1(L; Z), and Poincare duality gives
-    b_{m-1} = b_1 = 0.  For m = 3 that is S^3.  For m = 4 the one Betti
-    number left is b_2 = chi(L) - 2, and chi = 2 is needed (CP^2 has 3).
-    Edges are the ordered pairs of the sorted link facets, so no two labels
-    are ever compared.
-    """
-    triangles = dict.fromkeys(t for f in link for t in itertools.combinations(f, 3))
-    sides: dict = {}  # edge -> the other two edges of each triangle on it
-    for a, b, c in triangles:
-        ab, ac, bc = (a, b), (a, c), (b, c)
-        sides.setdefault(ab, []).append((ac, bc))
-        sides.setdefault(ac, []).append((ab, bc))
-        sides.setdefault(bc, []).append((ab, ac))
-    adjacent: dict = {}
-    for e in sides:
-        adjacent.setdefault(e[0], []).append((e[1], e))
-        adjacent.setdefault(e[1], []).append((e[0], e))
-    root = link[0][0]
-    reached = {root}
-    queue = [root]
-    known = set()  # the tree edges, then every edge they make known
-    for v in queue:  # breadth first
-        for w, e in adjacent[v]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-                known.add(e)
-    if len(reached) < len(adjacent):
-        return None
-    pending = list(known)
-    while pending:
-        for x, y in sides[pending.pop()]:
-            if x in known:
-                if y not in known:
-                    known.add(y)
-                    pending.append(y)
-            elif y in known:
-                known.add(x)
-                pending.append(x)
-    if len(known) < len(sides):
-        return None
-    if m == 4:
-        # each tetrahedron lies in two 4-simplices (the ridge rows), so
-        # f_3 = 5 f_4 / 2 and chi = f_0 - f_1 + f_2 - 3 f_4 / 2
-        if len(adjacent) - len(sides) + len(triangles) - 3 * len(link) // 2 != 2:
-            return None
-    return "sphere"
+
+def _members(x: int) -> list:
+    """The bits of x, lowest first."""
+    out = []
+    while x:
+        b = x & -x
+        out.append(b)
+        x ^= b
+    return out
 
 
 def _collapse_class(link: list, m: int) -> str | None:
@@ -601,16 +580,7 @@ def _collapse_class(link: list, m: int) -> str | None:
     """
     if link == [()]:  # the (-1)-sphere: no vertex to collapse to
         return None
-    bit: dict = {}
-    tops = []
-    for f in link:
-        x = 0
-        for v in f:
-            b = bit.get(v)
-            if b is None:
-                b = bit[v] = 1 << len(bit)
-            x |= b
-        tops.append(x)
+    bit, tops = _bitmasks(link)
     count: dict = {}  # present face -> number of its present cofaces
     xor: dict = {}  # present face -> XOR of those cofaces
     by_size = [[] for _ in range(len(bit) + 1)]

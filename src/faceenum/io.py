@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .complexes import SimplicialComplex, label_key
+from .complexes import SimplicialComplex, _require_complex, label_key
 from .constructions import BistellarMove, MoveLog, _bistellar_step, _retriangulation_step
 from .errors import ArgumentOutOfRange, ParseError
 from .posets import BOTTOM_SENTINEL, TOP_SENTINEL, GradedPoset
@@ -172,6 +172,9 @@ def replay_move_log(K: SimplicialComplex, steps: list) -> SimplicialComplex:
     are byte-identical to the original run.  Every bistellar step checks its
     h-vector change, and logged balls are certified as simple trees in their
     recorded order."""
+    _require_complex(K)
+    if not isinstance(steps, list):
+        raise ArgumentOutOfRange(f"a move log is a list of steps, got {type(steps).__name__}")
     for i, step in enumerate(steps):
         if not isinstance(step, dict) or not isinstance(step.get("parameters"), dict):
             raise ParseError(f'step {i} is not an object with a "parameters" object')

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, _canonical_faces, face, face_key, fresh_vertex
+from .complexes import SimplicialComplex, _canonical_faces, _require_complex, face, face_key, fresh_vertex
 from .errors import (
     EmptyInput,
     NotABall,
@@ -174,6 +174,7 @@ def central_retriangulation(K: SimplicialComplex, B, new_vertex=None) -> Simplic
     glued ridge in more facets of K) the faces of the touched facets are
     recounted by ``SimplicialComplex._edited_f_vector``.
     """
+    _require_complex(K)
     if isinstance(B, SimpleTree):
         facets = _canonical_faces(B.facets)
         if not facets:

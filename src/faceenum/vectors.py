@@ -420,7 +420,12 @@ def macaulay_pseudopower(a: int, i: int) -> int:
 
 def is_M_vector(v) -> bool:
     """Macaulay's criterion: v_0 = 1, nonnegative, v_{i+1} <= v_i^<i>."""
-    v = list(v)
+    try:
+        v = list(v)
+    except TypeError:
+        raise ArgumentOutOfRange(f"expected a sequence of ints, got {type(v).__name__}") from None
+    if not all(isinstance(x, int) for x in v):
+        raise ArgumentOutOfRange("an M-vector has int entries")
     if not v or v[0] != 1:
         return False
     if any(x < 0 for x in v):

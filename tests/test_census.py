@@ -7,7 +7,9 @@ census-backed predicates must give the same verdicts, witnesses and
 boundaries, over Q and over GF(2).  ``star_walk_rows`` is the census as it
 was before every link was built in one pass over the facets: it takes each
 star from a dict or from ``K.facets_containing`` and filters the link out of
-it, and its rows must equal the census's, tuple for tuple.
+it, and its rows must equal the census's, tuple for tuple.  It keeps the
+duality certificate, and ``_stacked_class`` keeps the inverse 0-move rule:
+the two certificates that the bistellar reducer ``_pl_class`` replaced.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from faceenum import homology
 from faceenum.audit import _links_closed
 from faceenum.catalog import s2xs2_two_neighborly
 from faceenum.homology import (
-    _collapsed_or_ranked_row, _components, _duality_class, _graph_betti, _link_census, _link_row, _LinkRow,
+    _collapsed_or_ranked_row, _components, _graph_betti, _link_census, _link_row, _LinkRow, _pl_class,
 )
 from test_successor_edit import _mixed_labels
 
@@ -185,6 +187,112 @@ def _star_walk_surface_class(triangles, field):
     if chi == 1:  # RP^2: acyclic unless the field has characteristic 2
         return ("bad" if field.p == 2 else "ball"), True
     return "bad", True
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the two certificates the reducer replaced
+
+
+def _stacked_class(link: list, m: int) -> str | None:
+    """"sphere" when inverse 0-moves reduce a pure m-complex, given by its
+    facets, to the boundary of the (m+1)-simplex; None when they do not.
+
+    A vertex w in exactly m + 1 facets whose union minus w is an m-face
+    sigma, not a facet, has star w * d(sigma); trading that star for sigma
+    undoes a stellar subdivision, a PL homeomorphism.  So ending at m + 2
+    vertices proves a stacked m-sphere, a sphere over every field and
+    connected, with no other row read.  A move takes m facets and one vertex,
+    so only F = m V - (m + 2)(m - 1) ends there, with m + 2 facets left.
+    Vertices are bits in first-seen order: no two labels are ever compared.
+    """
+    order = dict.fromkeys(v for f in link for v in f)
+    if len(link) != m * len(order) - (m + 2) * (m - 1):
+        return None
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    star: dict = {b: set() for b in bit.values()}  # vertex bit -> its facets
+    for f in link:
+        x = sum(map(bit.__getitem__, f))  # distinct bits: the sum is the union
+        for v in f:
+            star[bit[v]].add(x)
+    queue = [w for w, s in star.items() if len(s) == m + 1]
+    while queue and len(star) > m + 2:
+        w = queue.pop()
+        around = star.get(w, ())
+        sigma = 0
+        for x in around:
+            sigma |= x
+        sigma ^= w
+        if len(around) != m + 1 or sigma.bit_count() != m + 1 or sigma in star[sigma & -sigma]:
+            continue
+        del star[w]
+        r = sigma
+        while r:
+            b = r & -r
+            r ^= b
+            s = star[b]
+            s -= around
+            s.add(sigma)
+            if len(s) == m + 1:
+                queue.append(b)
+    return "sphere" if len(star) == m + 2 else None
+
+
+def _duality_class(link: list, m: int) -> str | None:
+    """"sphere" when the 2-skeleton certifies a closed homology m-manifold,
+    m = 3 or 4, given by its facets, to be a homology m-sphere over every
+    field; None when it does not.
+
+    The link L is connected and H_1(L; Z) = 0 when a spanning tree of its
+    graph reaches every vertex and every edge is then known to bound: an edge
+    of the tree is known, and a triangle with two known edges makes its third
+    edge known.  Then L is orientable over every field, its orientation
+    character factoring through H_1(L; Z), and Poincare duality gives
+    b_{m-1} = b_1 = 0.  For m = 3 that is S^3.  For m = 4 the one Betti
+    number left is b_2 = chi(L) - 2, and chi = 2 is needed (CP^2 has 3).
+    Edges are the ordered pairs of the sorted link facets, so no two labels
+    are ever compared.
+    """
+    triangles = dict.fromkeys(t for f in link for t in itertools.combinations(f, 3))
+    sides: dict = {}  # edge -> the other two edges of each triangle on it
+    for a, b, c in triangles:
+        ab, ac, bc = (a, b), (a, c), (b, c)
+        sides.setdefault(ab, []).append((ac, bc))
+        sides.setdefault(ac, []).append((ab, bc))
+        sides.setdefault(bc, []).append((ab, ac))
+    adjacent: dict = {}
+    for e in sides:
+        adjacent.setdefault(e[0], []).append((e[1], e))
+        adjacent.setdefault(e[1], []).append((e[0], e))
+    root = link[0][0]
+    reached = {root}
+    queue = [root]
+    known = set()  # the tree edges, then every edge they make known
+    for v in queue:  # breadth first
+        for w, e in adjacent[v]:
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+                known.add(e)
+    if len(reached) < len(adjacent):
+        return None
+    pending = list(known)
+    while pending:
+        for x, y in sides[pending.pop()]:
+            if x in known:
+                if y not in known:
+                    known.add(y)
+                    pending.append(y)
+            elif y in known:
+                known.add(x)
+                pending.append(x)
+    if len(known) < len(sides):
+        return None
+    if m == 4:
+        # each tetrahedron lies in two 4-simplices (the ridge rows), so
+        # f_3 = 5 f_4 / 2 and chi = f_0 - f_1 + f_2 - 3 f_4 / 2
+        if len(adjacent) - len(sides) + len(triangles) - 3 * len(link) // 2 != 2:
+            return None
+    return "sphere"
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +514,6 @@ def test_census_rows_without_collapse_certificates_are_equal(monkeypatch, name, 
     assert _link_census(_fresh(K), field) == certified
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("name,K", INPUTS, ids=[n for n, _ in INPUTS])
-def test_census_rows_without_duality_certificates_are_equal(monkeypatch, name, K, field):
-    """With every duality certificate stuck, the collapse and the ranks give
-    the certified rows."""
-    certified = _link_census(_fresh(K), field)
-    monkeypatch.setattr(homology, "_duality_class", lambda link, m: None)
-    assert _link_census(_fresh(K), field) == certified
-
-
 def _collapsed_dims(monkeypatch, K, field=fe.RATIONALS):
     """The census rows of K, and the dimension m of each link collapsed."""
     dims = []
@@ -431,19 +529,18 @@ def _collapsed_dims(monkeypatch, K, field=fe.RATIONALS):
     return rows, dims
 
 
-def _stacked_dims(monkeypatch) -> list:
-    """The dimension m of each link that ``_stacked_class`` decides, from
-    now on."""
+def _reduced_dims(monkeypatch) -> list:
+    """The dimension m of each link that ``_pl_class`` decides, from now
+    on."""
     dims = []
-    real = homology._stacked_class
 
-    def counting_stacked(link, m):
-        cls = real(link, m)
+    def counting_reducer(link, m):
+        cls = _pl_class(link, m)
         if cls is not None:
             dims.append(m)
         return cls
 
-    monkeypatch.setattr(homology, "_stacked_class", counting_stacked)
+    monkeypatch.setattr(homology, "_pl_class", counting_reducer)
     return dims
 
 
@@ -452,6 +549,19 @@ CERTIFIED = [
     ("kl15_3", fe.kuhnel_lassmann(15, 3)),
     ("stacked20_5", fe.stacked_sphere(20, 5)),
 ]
+
+
+REDUCER_INPUTS = [*INPUTS, *((n, K) for n, K in CERTIFIED if n not in dict(INPUTS))]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name,K", REDUCER_INPUTS, ids=[n for n, _ in REDUCER_INPUTS])
+def test_census_rows_without_the_reducer_are_equal(monkeypatch, name, K, field):
+    """With every bistellar reduction stuck, no vertex is certified and the
+    collapse and the ranks give the certified rows."""
+    certified = _link_census(_fresh(K), field)
+    monkeypatch.setattr(homology, "_pl_class", lambda link, m: None)
+    assert _link_census(_fresh(K), field) == certified
 
 
 def _without_vertex_certificate(monkeypatch):
@@ -465,11 +575,10 @@ def _without_vertex_certificate(monkeypatch):
 def test_census_collapses_no_closed_link_of_dimension_3_or_4(monkeypatch, name, K, field):
     """These manifolds lie in Walkup's class, so every link of dimension 3
     or more is a stacked sphere.  Without the vertex certificate, the walk's
-    inverse 0-moves certify each of them before duality or a collapse is
-    tried.  No link is collapsed: not even the 15 five-dimensional vertex
-    links of KL(15,3)."""
+    reducer certifies each of them before a collapse is tried.  No link is
+    collapsed: not even the 15 five-dimensional vertex links of KL(15,3)."""
     _without_vertex_certificate(monkeypatch)
-    decided = _stacked_dims(monkeypatch)
+    decided = _reduced_dims(monkeypatch)
     rows, dims = _collapsed_dims(monkeypatch, K, field)
     assert all(row.cls == "sphere" for row in rows)
     assert dims == []
@@ -480,12 +589,17 @@ def test_census_collapses_no_closed_link_of_dimension_3_or_4(monkeypatch, name, 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("name,K", CLOSED_NON_SPHERES, ids=[n for n, _ in CLOSED_NON_SPHERES])
 def test_suspended_closed_manifolds_report_the_apex(monkeypatch, name, K, field):
-    """The apex link is closed and no sphere: the certificate gets stuck (or
-    chi != 2), the collapse gets stuck, and the ranks find it bad."""
+    """The apex link is closed and no sphere: the reducer gets stuck, the
+    collapse gets stuck, and the ranks find it bad.  The reducer may get
+    stuck on a sphere link too, such as the suspension of an octahedron,
+    which no facet-decreasing move reaches; the collapse decides those, so
+    only the two apex links are ranked."""
     S = _suspension(K)
+    ranked, real = [], homology.betti
+    monkeypatch.setattr(homology, "betti", lambda L, field: ranked.append(L) or real(L, field))
     rows, dims = _collapsed_dims(monkeypatch, S, field)
     assert [row.face for row in rows if row.cls == "bad"] == [(100,), (101,)]
-    assert dims == [K.dim] * 2
+    assert ranked == [S.link((100,)), S.link((101,))] and dims.count(K.dim) >= 2
     rep = fe.manifold_report(_fresh(S), field)
     assert not rep.is_homology_manifold and rep.witness == (100,)
 
@@ -517,7 +631,7 @@ def test_census_rows_match_ranked_links_on_random_non_pure_complexes(K, field):
 STAR_SIZED = [("kl13_2", fe.kuhnel_lassmann(13, 2)), ("stacked20_5", fe.stacked_sphere(20, 5))]
 
 # the classifiers that take a link's facets first, and those that take rho
-LINK_CLASSIFIERS = ("_one_cycle", "_closed_surface_class", "_surface_class", "_duality_class",
+LINK_CLASSIFIERS = ("_one_cycle", "_closed_surface_class", "_surface_class", "_pl_class",
                     "_collapse_class", "_graph_betti")
 FACE_CLASSIFIERS = ("_link_row", "_collapsed_or_ranked_row")
 
@@ -557,19 +671,20 @@ def test_census_builds_no_link_of_a_facet_or_a_ridge(monkeypatch, name, K):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_census_certifies_the_vertex_links_of_kl15_3_and_builds_no_link(monkeypatch, field):
-    """Every vertex link of KL(15,3) is a stacked 5-sphere.  Inverse 0-moves
-    reduce each of the 15 once, and then every row follows from the size of
-    its face: no other link is reduced, and no classifier sees a link."""
+    """Every vertex link of KL(15,3) is a stacked 5-sphere.  The reducer
+    takes each of the 15 down once, and then every row follows from the size
+    of its face: no other link is reduced, and no classifier sees a link."""
     K = _fresh(fe.kuhnel_lassmann(15, 3))
-    reduced, real = [], homology._stacked_class
+    reduced = []
 
-    def counting_stacked(link, m):
-        cls = real(link, m)
+    def counting_reducer(link, m):
+        cls = _pl_class(link, m)
         reduced.append((m, cls))
         return cls
 
-    monkeypatch.setattr(homology, "_stacked_class", counting_stacked)
-    calls = {classifier: _spy(monkeypatch, classifier) for classifier in LINK_CLASSIFIERS + FACE_CLASSIFIERS}
+    monkeypatch.setattr(homology, "_pl_class", counting_reducer)
+    others = [c for c in LINK_CLASSIFIERS + FACE_CLASSIFIERS if c != "_pl_class"]
+    calls = {classifier: _spy(monkeypatch, classifier) for classifier in others}
     rows = _link_census(K, field)
     assert reduced == [(5, "sphere")] * 15
     assert all(c == [] for c in calls.values())

@@ -16,6 +16,7 @@ from faceenum import io as fio
 from faceenum.audit import INAPPLICABLE
 from faceenum.cli import main
 from faceenum.complexes import label_key
+from faceenum.constructions import check_move
 from faceenum.errors import ArgumentOutOfRange, FaceEnumError, InvalidPoset, ParseError
 from faceenum.posets import cd_words
 from test_census import _handle
@@ -67,6 +68,35 @@ STACKED7_3 = fe.stacked_sphere(7, 3)
 def test_a_face_or_facet_list_that_is_not_iterable_is_out_of_range(call):
     with pytest.raises(ArgumentOutOfRange):
         call()
+
+
+MOVE = fe.BistellarMove(STACKED7_3.facets[0], (100,))
+TREE = fe.validate_simple_tree(STACKED7_3, [STACKED7_3.facets[0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_move("x", MOVE),
+    lambda: check_move(STACKED7_3, (STACKED7_3.facets[0], (100,))),
+    lambda: fe.apply_bistellar("x", MOVE),
+    lambda: fe.apply_bistellar(STACKED7_3, None),
+    lambda: fe.central_retriangulation("x", TREE, "w1"),
+    lambda: fe.is_M_vector(None),
+    lambda: fe.is_M_vector([1, "3"]),
+    lambda: fio.replay_move_log("x", []),
+    lambda: fio.replay_move_log(STACKED7_3, None),
+], ids=[
+    "check-complex", "check-move", "apply-complex", "apply-move", "retriangulation-complex", "m-vector-none",
+    "m-vector-str", "replay-complex", "replay-steps",
+])
+def test_moves_vectors_and_replays_reject_what_is_out_of_range(call):
+    with pytest.raises(ArgumentOutOfRange):
+        call()
+
+
+def test_the_guarded_calls_still_answer():
+    assert check_move(STACKED7_3, MOVE) == [STACKED7_3.facets[0]]
+    assert fio.replay_move_log(STACKED7_3, []) is STACKED7_3
+    assert fe.is_M_vector((1, 3, 6)) and not fe.is_M_vector([1, 2, 4])
 
 
 def test_mixed_int_and_str_labels_still_order():

@@ -1,12 +1,12 @@
 """The PL certificates that come before the census walk and before ranks.
 
-A complex that inverse 0-moves reduce to the boundary of a simplex is a
-stacked, so PL, sphere, and every face link of a PL sphere is again one.  So
-the census certifies vertex links first and gives each face through a
-certified vertex a sphere row with no link built; ``is_homology_sphere`` and
-``manifold_report`` certify a whole stacked sphere before any rank; and the
-Walkup predicates try the rule before Kalai's criterion.  Each must agree
-with the path it shortcuts, which the tests keep as their oracle.
+A complex that bistellar moves reduce to the boundary of a simplex is a PL
+sphere, and every face link of a PL sphere is again one.  So the census
+certifies vertex links first, once per complex, and gives each face through
+a certified vertex a sphere row with no link built; ``is_homology_sphere``
+and ``manifold_report`` certify a whole stacked sphere before any rank; and
+the Walkup predicates try the reducer before Kalai's criterion.  Each must
+agree with the path it shortcuts, which the tests keep as their oracle.
 """
 
 from __future__ import annotations
@@ -28,13 +28,15 @@ from test_successor_edit import _mixed_labels
 LABELS = (_fresh, _str_labels, _mixed_labels)
 
 # (name, complex, the faces of its non-sphere rows, how many vertices are
-# certified): the certificate decides only part of these, or nothing
+# certified): the certificate decides only part of these, or nothing.  A
+# base vertex of a suspension has the suspension of its link as its link:
+# of a stacked sphere it reduces, of a vertex link of CP^2_9 it does not
 PARTIAL = [
     ("kl13_2-facet", _minus_facet(fe.kuhnel_lassmann(13, 2), 0), "ball", 8),
     ("kl11-star", fe.kuhnel_lassmann(11, 2).closed_star((1,)), "ball", 1),
     ("wedge-4-spheres", _wedge(5), [(8,)], 14),
     ("susp-cp2_9", _suspension(fe.catalog("cp2_9").payload), [(100,), (101,)], 0),
-    ("susp-kl12", _suspension(fe.kuhnel_lassmann(12, 2)), [(100,), (101,)], 0),
+    ("susp-kl12", _suspension(fe.kuhnel_lassmann(12, 2)), [(100,), (101,)], 12),
 ]
 PARTIAL_LABELLED = [(f"{name}-{labels.__name__}", labels(K)) for name, K, *_ in PARTIAL for labels in LABELS]
 
@@ -78,14 +80,43 @@ def test_rows_the_certificate_leaves_come_from_the_rules(monkeypatch, name, K, o
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_non_stacked_vertex_links_of_cp2_reach_duality(monkeypatch, field):
-    """No vertex link of CP^2_9 is stacked: the certificate leaves all nine
-    to the walk, where the duality certificate decides them."""
-    K = _fresh(fe.catalog("cp2_9").payload)
-    assert _certified_vertices(K) == set()
-    calls = _spy(monkeypatch, "_duality_class")
-    assert all(row.cls == "sphere" for row in _link_census(K, field))
-    assert sum(len(link[0]) == K.dim for link in calls) == len(K.vertices)
+@pytest.mark.parametrize("name", ("cp2_9", "s2xs2_sum"))
+def test_reducer_certifies_the_non_stacked_vertex_links_of_cp2_and_s2xs2(monkeypatch, name, field):
+    """No vertex link of CP^2_9 or (S^2xS^2)#(S^2xS^2) is stacked, yet the
+    reducer certifies each: the census builds no link, and collapses and
+    ranks none."""
+    K = _fresh(fe.catalog(name).payload)
+    walked = [_spy(monkeypatch, c) for c in ("_link_row", "_collapsed_or_ranked_row", "_collapse_class")]
+    monkeypatch.setattr(homology, "betti", lambda *args: pytest.fail("ranked"))
+    rows = _link_census(K, field)
+    assert _certified_vertices(K) == set(K.vertices)
+    assert walked == [[]] * 3
+    assert all(row == (row.face, "sphere", len(row.face) != K.dim) for row in rows)
+    monkeypatch.undo()
+    _assert_rows_match_star_walk(K, field)
+
+
+def test_vertex_links_are_reduced_once_per_complex(monkeypatch):
+    """Every vertex link of KL(19,4) is a stacked 7-sphere.  The censuses
+    over three fields reduce each once in all, and share one tuple of rows."""
+    K = _fresh(fe.kuhnel_lassmann(19, 4))
+    reduced = _spy(monkeypatch, "_pl_class")
+    censuses = [_link_census(K, field) for field in FIELDS]
+    assert len(reduced) == len(K.vertices) == 19
+    assert censuses[0] is censuses[1] is censuses[2]
+    assert all(row.cls == "sphere" for row in censuses[0])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_apex_link_of_the_suspended_cp2_is_left_and_bad(field):
+    """The apex link is CP^2_9 itself, a closed 4-manifold with chi = 3: the
+    reducer gets stuck on it, and the census still gives its bad row."""
+    S = _fresh(_suspension(fe.catalog("cp2_9").payload))
+    apex = list(S.link((100,)).facets)
+    assert fe.euler_characteristic(fe.SimplicialComplex(apex)) == 3
+    assert homology._pl_class(apex, 4) is None
+    rows = {row.face: row for row in _link_census(S, field)}
+    assert rows[(100,)] == ((100,), "bad", True) and rows[(101,)] == ((101,), "bad", True)
 
 
 # ---------------------------------------------------------------------------

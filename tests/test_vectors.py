@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from math import comb
 
@@ -309,6 +310,38 @@ def test_is_M_vector():
     assert fe.is_M_vector((1,))
     assert not fe.is_M_vector((2, 1))
     assert not fe.is_M_vector((1, 3, -1))
+
+
+def m_vector_oracle(h):
+    """Macaulay's theorem: h is an M-vector exactly when the first h_i
+    monomials of degree i in h_1 variables, in revlex order, form an order
+    ideal, each divisor of a chosen monomial chosen too."""
+    if not h or h[0] != 1 or min(h) < 0:
+        return False
+    n = h[1] if len(h) > 1 else 0
+    chosen = {(0,) * n}
+    for i, hi in enumerate(h[1:], 1):
+        monomials = revlex_degree_monomials(i, n) if n else []
+        if hi > len(monomials):
+            return False
+        for e in monomials[:hi]:
+            if any(e[j] and e[:j] + (e[j] - 1,) + e[j + 1:] not in chosen for j in range(n)):
+                return False
+        chosen.update(monomials[:hi])
+    return True
+
+
+def test_is_M_vector_against_order_ideals():
+    """Every vector of degree <= 4 with h_0 in 0..2, h_1 in -1..3 and the
+    other entries in -1..6."""
+    ranges = [range(0, 3), range(-1, 4), *[range(-1, 7)] * 3]
+    verdicts = set()
+    for length in range(1, len(ranges) + 1):
+        for h in itertools.product(*ranges[:length]):
+            want = m_vector_oracle(h)
+            assert fe.is_M_vector(h) == want, h
+            verdicts.add((length, want))
+    assert {(n, v) for n in range(1, 6) for v in (True, False)} == verdicts
 
 
 # --- middle Betti invariant -----------------------------------------------------
