@@ -564,6 +564,17 @@ def test_census_rows_without_the_reducer_are_equal(monkeypatch, name, K, field):
     assert _link_census(_fresh(K), field) == certified
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name,K", INPUTS, ids=[n for n, _ in INPUTS])
+def test_census_rows_without_duality_certificates_are_equal(monkeypatch, name, K, field):
+    """With the reducer cut back to the inverse 0-move rule, so that no move
+    of an edge or larger face certifies what the duality certificate did,
+    the collapse and the ranks give the certified rows."""
+    certified = _link_census(_fresh(K), field)
+    monkeypatch.setattr(homology, "_pl_class", _stacked_class)
+    assert _link_census(_fresh(K), field) == certified
+
+
 def _without_vertex_certificate(monkeypatch):
     """From now on the census tries no vertex link first, so every face goes
     through the walk's rules."""
