@@ -352,11 +352,8 @@ def _link_census(K: SimplicialComplex, field: FieldSpec) -> tuple:
     cache = K._link_censuses
     if field not in cache:
         certified = _certified_vertices(K)
-        if certified is None or len(certified) < len(K.vertices):
-            cache[field] = _census_rows(K, field)
-        else:  # every row a PL sphere's, connected unless its face is a ridge
-            cache[field] = next(iter(cache.values()), None) or tuple(
-                _LinkRow(rho, "sphere", len(rho) != K.dim) for rho in itertools.islice(K.faces(), 1, None))
+        full = cache and certified is not None and len(certified) == len(K.vertices)
+        cache[field] = next(iter(cache.values())) if full else _census_rows(K, field)
     return cache[field]
 
 
@@ -436,10 +433,12 @@ def _certified_vertices(K: SimplicialComplex) -> set | None:
     once per complex; None, with no link tried, unless K is pure of
     dimension >= 4."""
     m = K.dim - 1
+    if m < 3 or not K.is_pure():
+        return None
     cache = K._vertex_certificates
     if "vertices" not in cache:
-        cache["vertices"] = None if m < 3 or not K.is_pure() else {
-            v for v, star in K._vertex_to_facets.items() if _pl_class([tuple(w for w in f if w != v) for f in star], m)}
+        cache["vertices"] = {v for v, star in K._vertex_to_facets.items()
+                             if _pl_class([tuple(w for w in f if w != v) for f in star], m)}
     return cache["vertices"]
 
 
@@ -450,8 +449,11 @@ def _stacked_sphere(K: SimplicialComplex) -> bool:
     every field.  Then it is stacked: that count is the equality case of the
     lower bound theorem (Barnette; Kalai, 1987)."""
     m = K.dim
-    return (m >= 3 and K.is_pure() and len(K.facets) == m * len(K.vertices) - (m + 2) * (m - 1)
-            and _pl_class(K.facets, m) is not None)
+    if m < 3 or not K.is_pure():
+        return False
+    if len(K.facets) != m * len(K.vertices) - (m + 2) * (m - 1):
+        return False
+    return _pl_class(K.facets, m) is not None
 
 
 def _link_row(rho: tuple, b: BettiVector, dim: int) -> _LinkRow:
@@ -497,11 +499,10 @@ def _pl_class(link: list, m: int) -> str | None:
     while len(star) != m + 2:  # then the m + 2 facets of dDelta are left, or fewer: no sphere
         k = 1 if queues[0] else next((j for j, queue in enumerate(queues, 1) if queue), 0)
         if not k:
-            sizes = range(2, (m + 3) // 2)
-            if degree or not sizes:  # the larger faces are counted already, or there are none
+            if degree:  # the larger faces are counted already
                 return None
             level = list(star.items())  # (face, its facets), from the vertices up
-            for j in sizes:
+            for j in range(2, (m + 3) // 2):
                 level = [(f | c, t) for f, s in level for c, u in star.items() if c > f and (t := s & u)]
                 degree.update((f, len(t)) for f, t in level)
                 queues.append([f for f, t in level if len(t) == m + 2 - j])
@@ -578,8 +579,6 @@ def _collapse_class(link: list, m: int) -> str | None:
     face keeps the number and the XOR of its present cofaces with one more
     vertex; a face with one coface is free and the XOR names that coface.
     """
-    if link == [()]:  # the (-1)-sphere: no vertex to collapse to
-        return None
     bit, tops = _bitmasks(link)
     count: dict = {}  # present face -> number of its present cofaces
     xor: dict = {}  # present face -> XOR of those cofaces

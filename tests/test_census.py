@@ -597,6 +597,13 @@ def test_census_collapses_no_closed_link_of_dimension_3_or_4(monkeypatch, name, 
     assert decided.count(5) == (15 if name == "kl15_3" else 0)
 
 
+# The number of links of each dimension that the census of the suspension
+# collapses.  The two apex links are the only ones of kl11 and the handle; on
+# the suspensions of CP^2_9 and (S^2xS^2)#(S^2xS^2) the reducer also gets
+# stuck on some sphere links (see STUCK in test_stacked_links.py).
+APEX_COLLAPSES = {"cp2_9": {3: 9, 4: 11}, "s2xs2_sum": {3: 36, 4: 14}, "s1xs2-handle": {3: 2}, "kl11": {4: 2}}
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("name,K", CLOSED_NON_SPHERES, ids=[n for n, _ in CLOSED_NON_SPHERES])
 def test_suspended_closed_manifolds_report_the_apex(monkeypatch, name, K, field):
@@ -610,7 +617,8 @@ def test_suspended_closed_manifolds_report_the_apex(monkeypatch, name, K, field)
     monkeypatch.setattr(homology, "betti", lambda L, field: ranked.append(L) or real(L, field))
     rows, dims = _collapsed_dims(monkeypatch, S, field)
     assert [row.face for row in rows if row.cls == "bad"] == [(100,), (101,)]
-    assert ranked == [S.link((100,)), S.link((101,))] and dims.count(K.dim) >= 2
+    assert ranked == [S.link((100,)), S.link((101,))]
+    assert {m: dims.count(m) for m in set(dims)} == APEX_COLLAPSES[name]
     rep = fe.manifold_report(_fresh(S), field)
     assert not rep.is_homology_manifold and rep.witness == (100,)
 
